@@ -19,10 +19,8 @@ from repro.engine.cancel import CancelToken
 from repro.engine.catalog import Catalog
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import DEFAULT_ENCODING_CACHE_BYTES
-from repro.engine.executor import (DEFAULT_MORSEL_ROWS,
-                                   DEFAULT_PARALLEL_ROW_THRESHOLD,
-                                   PARALLEL_BACKENDS, Executor,
-                                   ExecutorOptions)
+from repro.engine.executor import (DEFAULT_PARALLEL_ROW_THRESHOLD,
+                                   Executor, ExecutorOptions)
 from repro.engine.governor import ResourceBudget, ResourceGovernor
 from repro.engine.schema import (DEFAULT_MAX_COLUMNS,
                                  DEFAULT_MAX_NAME_LENGTH, TableSchema)
@@ -65,16 +63,10 @@ class Database:
             window.
         parallel_workers / parallel_row_threshold:
             intra-query parallelism: aggregations over at least
-            ``parallel_row_threshold`` input rows fan out across up to
-            ``parallel_workers`` workers.  Bit-identical to serial
+            ``parallel_row_threshold`` input rows hash-partition across
+            up to ``parallel_workers`` operator threads (1 = serial;
+            see docs/parallelism.md).  Bit-identical to serial
             execution; wall-clock only.
-        parallel_backend / morsel_rows:
-            the parallel substrate -- ``"thread"`` (default, shared
-            operator thread pool), ``"process"`` (GIL-free worker
-            processes over shared-memory column blocks; see
-            docs/parallelism.md) or ``"serial"`` (parallelism off
-            regardless of ``parallel_workers``).  ``morsel_rows``
-            tunes the process backend's work-unit size.
         keep_history: record per-statement stats in
             ``db.stats.history``.
         tracing: start with the span tracer enabled (it can also be
@@ -110,8 +102,6 @@ class Database:
                  parallel_workers: int = 1,
                  parallel_row_threshold: int =
                  DEFAULT_PARALLEL_ROW_THRESHOLD,
-                 parallel_backend: str = "thread",
-                 morsel_rows: int = DEFAULT_MORSEL_ROWS,
                  keep_history: bool = False,
                  tracing: bool = False,
                  clock: Optional[Clock] = None,
@@ -135,12 +125,6 @@ class Database:
             raise ValueError("pool_pages must be >= 1")
         if parallel_workers < 1:
             raise ValueError("parallel_workers must be >= 1")
-        if parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        if morsel_rows < 1:
-            raise ValueError("morsel_rows must be >= 1")
         if default_deadline_seconds is not None \
                 and default_deadline_seconds <= 0:
             raise ValueError("default_deadline_seconds must be > 0")
@@ -183,8 +167,6 @@ class Database:
             use_encoding_cache=use_encoding_cache,
             parallel_degree=parallel_workers,
             parallel_row_threshold=parallel_row_threshold,
-            parallel_backend=parallel_backend,
-            morsel_rows=morsel_rows,
             storage=storage)
         self.governor = ResourceGovernor(ResourceBudget(
             max_seconds=max_query_seconds,
@@ -412,21 +394,6 @@ class Database:
         self.options.parallel_degree = int(workers)
         if row_threshold is not None:
             self.options.parallel_row_threshold = int(row_threshold)
-
-    def set_parallel_backend(self, backend: str,
-                             morsel_rows: Optional[int] = None) -> None:
-        """Choose the parallel substrate: ``"serial"``, ``"thread"``
-        or ``"process"`` (see docs/parallelism.md).  ``morsel_rows``
-        (optional) tunes the process backend's work-unit size."""
-        if backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        self.options.parallel_backend = backend
-        if morsel_rows is not None:
-            if morsel_rows < 1:
-                raise ValueError("morsel_rows must be >= 1")
-            self.options.morsel_rows = int(morsel_rows)
 
     def encoding_cache_info(self) -> dict[str, Any]:
         """Occupancy and traffic counters of the dictionary-encoding

@@ -93,9 +93,8 @@ def operator_pool() -> ThreadPoolExecutor:
 
     One pool is shared by every Database/session in the process: the
     parallelism budget is a host property, not a per-connection one.
-    Keyed by pid: a forked child (the multiprocess backend's workers
-    fork) must not submit to an executor whose threads only exist in
-    the parent, so it lazily builds its own.
+    Keyed by pid: a forked child must not submit to an executor whose
+    threads only exist in the parent, so it lazily builds its own.
     """
     global _pool, _pool_pid
     with _pool_lock:

@@ -12,12 +12,13 @@ definition, which "preserves the semantics of sum()"):
   (INTEGER sums stay INTEGER).
 
 The numpy bodies live in :mod:`repro.engine.kernels` -- the
-executor-neutral kernel layer shared with the thread-partitioned and
-multiprocess backends.  This module is the :class:`ColumnData`-facing
-adapter: it unwraps columns into raw buffers, dispatches on function
-name, and rewraps :class:`~repro.engine.kernels.PartialAggState`
-results.  Keeping exactly one implementation of each numpy sequence is
-what makes every backend bit-identical by construction.
+executor-neutral kernel layer shared by the serial and the
+hash-partitioned (thread) paths.  This module is the
+:class:`ColumnData`-facing adapter: it unwraps columns into raw
+buffers, dispatches on function name, and rewraps
+:class:`~repro.engine.kernels.PartialAggState` results.  Keeping
+exactly one implementation of each numpy sequence is what makes the
+parallel path bit-identical to the serial one by construction.
 """
 
 from __future__ import annotations

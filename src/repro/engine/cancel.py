@@ -10,7 +10,7 @@ interrupted but every statement crosses many safepoints.  A safepoint
 that observes a cancelled token raises
 :class:`~repro.errors.QueryCancelledError`, which unwinds through the
 existing savepoint/finally discipline -- catalog rollback, WAL
-restore, shared-memory unlink, buffer-pool unpin, temp-table drop --
+restore, buffer-pool unpin, temp-table drop --
 so a cancelled query leaves nothing behind.
 
 Determinism: the token reads time through an injected
@@ -51,8 +51,6 @@ SAFEPOINTS = (
     "join-build",         # hash-join build side (engine/join.py)
     "group-by",           # factorize entry (engine/groupby.py)
     "pivot",              # pivot-family pass (engine/pivot.py)
-    "morsel",             # per morsel planned (engine/kernels.py)
-    "process-dispatch",   # before a shared-memory pool dispatch
     "page-fetch",         # per column page run (storage/engine.py)
     "projection",         # final projection of a SELECT
     "dml",                # INSERT/UPDATE/DELETE entry

@@ -68,21 +68,10 @@ class ExecutorOptions:
         results and logical-I/O counters are identical either way.
     ``parallel_degree`` / ``parallel_row_threshold``:
         intra-query parallelism: aggregations over at least
-        ``parallel_row_threshold`` input rows fan out over up to
-        ``parallel_degree`` workers.  Results are bit-identical to
-        serial execution on every backend, so this is a wall-clock
-        knob only.
-    ``parallel_backend``:
-        which substrate runs the fan-out: ``"thread"`` (default)
-        hash-partitions over the shared operator thread pool;
-        ``"process"`` dispatches group-aligned morsels to the worker
-        *process* pool over shared-memory column blocks (GIL-free --
-        see docs/parallelism.md); ``"serial"`` disables parallel
-        aggregation regardless of ``parallel_degree``.
-    ``morsel_rows``:
-        target rows per process-backend morsel.  Smaller morsels
-        improve load balancing on skewed groups; larger morsels
-        amortize per-task dispatch overhead.
+        ``parallel_row_threshold`` input rows hash-partition over up
+        to ``parallel_degree`` operator threads (1 = serial; see
+        docs/parallelism.md).  Results are bit-identical to serial
+        execution, so this is a wall-clock knob only.
     ``storage``:
         which table substrate the owning Database runs on --
         ``"memory"`` (heap tables) or ``"disk"`` (page-backed tables
@@ -103,8 +92,6 @@ class ExecutorOptions:
     use_encoding_cache: bool = True
     parallel_degree: int = 1
     parallel_row_threshold: int = 20_000
-    parallel_backend: str = "thread"
-    morsel_rows: int = 8192
     storage: str = "memory"
     matview_rewrite: bool = True
 
@@ -112,13 +99,6 @@ class ExecutorOptions:
 #: Default row count below which parallel aggregation is not worth the
 #: fan-out overhead (mirrors ``ExecutorOptions.parallel_row_threshold``).
 DEFAULT_PARALLEL_ROW_THRESHOLD = 20_000
-
-#: Parallel execution substrates (``ExecutorOptions.parallel_backend``).
-PARALLEL_BACKENDS = ("serial", "thread", "process")
-
-#: Default target rows per process-backend morsel (mirrors
-#: ``ExecutorOptions.morsel_rows``).
-DEFAULT_MORSEL_ROWS = 8192
 
 
 @dataclass
@@ -233,8 +213,7 @@ class Executor:
         self._parallel_local.observed = max(current, int(degree))
 
     def _note_thread_parallel(self, degree: int) -> None:
-        """Observation plus the per-backend task counter for thread
-        fan-outs (the process backend counts its own dispatches)."""
+        """Observation plus the task counter for thread fan-outs."""
         self.note_parallel_degree(degree)
         self.stats.registry.counter(
             "engine_parallel_tasks_total",
@@ -605,14 +584,9 @@ class Executor:
                        for e in group_exprs]
         with self.tracer.span("group-by-build", kind="operator",
                               input_rows=frame.n_rows) as build_span:
-            backend = self.options.parallel_backend
-            degree = 1 if backend == "serial" \
-                else self._parallel_degree_for(frame.n_rows)
+            degree = self._parallel_degree_for(frame.n_rows)
             pgrouping: Optional[PartitionedGrouping] = None
-            if degree > 1 and backend == "thread":
-                # The process backend factorizes serially: its fan-out
-                # unit is the group-aligned morsel, planned after the
-                # grouping exists (see _compute_aggregates).
+            if degree > 1:
                 pgrouping = factorize_partitioned(
                     key_columns, frame.n_rows, self.encoding_cache,
                     degree)
@@ -838,10 +812,6 @@ class Executor:
         for j in range(len(pct_specs)):
             compute.append((f"__pctsum{j}", "sum", pct_args[j], False))
 
-        backend = self.options.parallel_backend
-        degree = 1 if backend == "serial" \
-            else self._parallel_degree_for(frame.n_rows)
-
         # -- compute each distinct set once, finest first, so fold
         # sources exist before their dependants ------------------------
         by_dims: dict[tuple[int, ...], gs_mod.SetGrouping] = {}
@@ -885,7 +855,7 @@ class Executor:
                     else:
                         recompute.append((name, func, arg, distinct))
                 self._compute_set_aggregates(recompute, sg.grouping,
-                                             local, degree)
+                                             local)
                 partials[dims] = local
                 if set_span is not None:
                     set_span.attrs["groups"] = sg.grouping.n_groups
@@ -942,30 +912,10 @@ class Executor:
     def _compute_set_aggregates(self, items: list[tuple[str, str,
                                                         Optional[ColumnData],
                                                         bool]],
-                                grouping, out: dict[str, ColumnData],
-                                degree: int) -> None:
+                                grouping, out: dict[str, ColumnData]) -> None:
         """Aggregate pre-evaluated argument columns under one derived
-        set grouping.  With the process backend the whole batch ships
-        as one shared-memory dispatch (morsel partials merge per set);
-        the thread backend's partition fan-out needs the raw key
-        columns, so derived groupings aggregate serially there."""
-        if not items:
-            return
-        use_process = (degree > 1
-                       and self.options.parallel_backend == "process")
-        if use_process:
-            from repro.engine import process_backend
-            results = process_backend.run_grouped_aggregates(
-                [(i, func, arg, distinct)
-                 for i, (_, func, arg, distinct) in enumerate(items)],
-                grouping.group_ids, grouping.n_groups,
-                self.encoding_cache,
-                morsel_rows=self.options.morsel_rows,
-                metrics=self.stats.registry, tracer=self.tracer,
-                on_parallel=self.note_parallel_degree)
-            for i, data in results.items():
-                out[items[i][0]] = data
-            return
+        set grouping.  Serial: the partition fan-out needs the raw key
+        columns, which a derived grouping no longer has."""
         for name, func, arg, distinct in items:
             if arg is None:
                 out[name] = agg_mod.count_star(grouping.group_ids,
@@ -985,29 +935,18 @@ class Executor:
         enabled, disjoint pivot-style CASE aggregations are computed in
         one factorize pass instead of N masked passes.  With a
         partitioned grouping, per-spec aggregation fans out over the
-        operator pool (bit-identical merge by scatter); with the
-        process backend, all eligible aggregates ship to worker
-        processes in one shared-memory dispatch."""
+        operator pool (bit-identical merge by scatter)."""
         handled: set[int] = set()
-        use_process = (parallel_degree > 1
-                       and self.options.parallel_backend == "process")
-        process_agg = self._process_agg_hook() if use_process else None
         if self.options.case_dispatch == "hash":
             with self.tracer.span("pivot", kind="operator") as span:
                 handled = pivot_mod.compute_pivot_aggregates(
                     agg_specs, frame, grouping, group_frame, self.stats,
                     self.encoding_cache,
-                    parallel_degree=1 if use_process
-                    else parallel_degree,
-                    on_parallel=self._note_thread_parallel,
-                    process_agg=process_agg)
+                    parallel_degree=parallel_degree,
+                    on_parallel=self._note_thread_parallel)
                 if span is not None:
                     span.attrs["aggregates"] = len(handled)
                     span.attrs["groups"] = grouping.n_groups
-        if use_process:
-            self._compute_aggregates_process(agg_specs, frame, grouping,
-                                             group_frame, handled)
-            return
         for i, spec in enumerate(agg_specs):
             if i in handled:
                 continue
@@ -1034,55 +973,6 @@ class Executor:
                         spec.name, _concrete(arg), spec.distinct,
                         grouping.group_ids, grouping.n_groups,
                         self.encoding_cache)
-            group_frame.add_column(f"__agg{i}", data)
-
-    def _process_agg_hook(self):
-        """The batch-aggregation closure handed to operators that run
-        on the multiprocess backend (currently the pivot family)."""
-        from repro.engine import process_backend
-
-        def process_agg(items, group_ids, n_groups):
-            return process_backend.run_grouped_aggregates(
-                items, group_ids, n_groups, None,
-                morsel_rows=self.options.morsel_rows,
-                metrics=self.stats.registry, tracer=self.tracer,
-                on_parallel=self.note_parallel_degree)
-
-        return process_agg
-
-    def _compute_aggregates_process(self, agg_specs: list[ast.FuncCall],
-                                    frame: Frame, grouping, group_frame,
-                                    handled: set[int]) -> None:
-        """Process-backend aggregation: evaluate every argument
-        expression here (exactly once, charging stats as serial does),
-        then ship the whole batch in one shared-memory dispatch.
-        Ineligible aggregates are computed locally inside the backend,
-        so results and errors match the serial path."""
-        from repro.engine import process_backend
-
-        items: list[tuple] = []
-        for i, spec in enumerate(agg_specs):
-            if i in handled:
-                continue
-            if spec.args and isinstance(spec.args[0], ast.Star):
-                if spec.name != "count":
-                    raise PlanningError(
-                        f"{spec.name}(*) is not valid; only count(*)")
-                items.append((i, "count", None, False))
-            else:
-                if len(spec.args) != 1:
-                    raise PlanningError(
-                        f"{spec.name}() takes exactly one argument")
-                arg = evaluate(spec.args[0], frame, self.stats)
-                items.append((i, spec.name, _concrete(arg),
-                              spec.distinct))
-        results = process_backend.run_grouped_aggregates(
-            items, grouping.group_ids, grouping.n_groups,
-            self.encoding_cache,
-            morsel_rows=self.options.morsel_rows,
-            metrics=self.stats.registry, tracer=self.tracer,
-            on_parallel=self.note_parallel_degree)
-        for i, data in results.items():
             group_frame.add_column(f"__agg{i}", data)
 
     def _resolve_group_by(self, select: ast.Select) -> list[ast.Expr]:

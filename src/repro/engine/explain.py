@@ -109,14 +109,10 @@ def _parallel_line(executor) -> Optional[str]:
     entirely when the engine is serial, so serial plans are unchanged
     (the governor line stays second-to-last either way)."""
     opts = executor.options
-    if opts.parallel_degree <= 1 or opts.parallel_backend == "serial":
+    if opts.parallel_degree <= 1:
         return None
-    line = (f"parallel: degree={opts.parallel_degree} "
-            f"backend={opts.parallel_backend} "
-            f"(row threshold {opts.parallel_row_threshold}")
-    if opts.parallel_backend == "process":
-        line += f", morsel rows {opts.morsel_rows}"
-    return line + ")"
+    return (f"parallel: degree={opts.parallel_degree} "
+            f"(row threshold {opts.parallel_row_threshold})")
 
 
 def _governor_line(executor) -> str:

@@ -51,7 +51,7 @@ from repro.obs.metrics import global_registry
 #: ``storage-commit`` fires after the record is durable but before the
 #: in-memory publish (a crash there must be redone on reopen).
 SITES = ("statement", "join-build", "group-by", "pivot",
-         "encoding-cache", "process-worker",
+         "encoding-cache",
          "storage-page-write", "storage-wal-fsync", "storage-commit")
 
 #: Fault kinds and the exception class each raises.

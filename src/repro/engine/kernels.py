@@ -1,39 +1,27 @@
-"""Executor-neutral aggregate kernels and morsel planning.
+"""Executor-neutral aggregate kernels.
 
-This is the operator layer every execution backend shares.  A *kernel*
-is a pure function over raw numpy buffers::
+This is the operator layer both execution paths share.  A *kernel* is
+a pure function over raw numpy buffers::
 
     (value/null buffers, group_ids, n_groups) -> PartialAggState
 
 with no engine objects in its signature: no ``ColumnData``, no frames,
-no catalog.  The serial path (:mod:`repro.engine.aggregates`), the
-thread-partitioned path (:mod:`repro.core.partitioning`) and the
-multiprocess shared-memory backend
-(:mod:`repro.engine.process_backend`) all call the *same* kernel
-bodies, so a numerical behavior exists exactly once -- including the
-dtype edge cases the differential fuzzer caught (an empty
-``np.bincount`` reverts to int64 regardless of its weights dtype,
-which is why merge buffers are always allocated from the result SQL
-type, never from a partial's array).
+no catalog.  The serial path (:mod:`repro.engine.aggregates`) and the
+thread hash-partitioned path (:mod:`repro.core.partitioning`) call the
+*same* kernel bodies, so a numerical behavior exists exactly once --
+including the dtype edge cases the differential fuzzer caught (an
+empty ``np.bincount`` reverts to int64 regardless of its weights
+dtype, which is why merge buffers are always allocated from the result
+SQL type, never from a partial's array).
 
-**Bit-identity across backends.**  Floating-point addition is not
+**Bit-identity across degrees.**  Floating-point addition is not
 associative, so parallel execution is only bit-identical to serial
 execution if every group's addends are accumulated in the serial
-order.  Two partitioning schemes guarantee that here:
-
-* hash partitioning (thread backend): each partition holds *complete*
-  groups with rows in original order;
-* morsel partitioning (process backend, :func:`plan_morsels`): morsels
-  are contiguous ranges of the *stable group-sorted* row permutation
-  with cuts snapped to group boundaries, so again every group lives
-  wholly inside one morsel and its rows keep their original relative
-  order.  The merge is then a contiguous slice assignment -- no
-  re-aggregation, no reordering, no rounding drift.
-
-A consequence worth stating: one giant group is unsplittable (it is a
-single morsel), exactly as a skewed hash partition is.  Skew across
-*many* groups is what morsels fix -- workers pull roughly equal row
-ranges regardless of how unevenly groups are sized.
+order.  Hash partitioning on the grouping key guarantees that: each
+partition holds *complete* groups with rows in original order, so the
+merge is a pure scatter -- no re-aggregation, no reordering, no
+rounding drift.  One giant group is unsplittable (it lands in a single
+partition); that bounds the speedup on skewed keys, never the answer.
 """
 
 from __future__ import annotations
@@ -43,19 +31,18 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engine import cancel
 from repro.engine.types import SQLType
 from repro.errors import PlanningError, TypeMismatchError
 
 
 @dataclass
 class PartialAggState:
-    """One kernel's output for one (morsel, aggregate) pair.
+    """One kernel's output for one (partition, aggregate) pair.
 
-    Plain data -- numpy arrays plus the result's SQL type -- so it
-    pickles cheaply across a process boundary (size is O(groups), not
-    O(rows)).  ``values``/``nulls`` cover a *contiguous* group range;
-    the merge is ``out[g_lo:g_hi] = partial``.
+    Plain data -- numpy arrays plus the result's SQL type, of size
+    O(groups), not O(rows).  ``values``/``nulls`` are indexed by the
+    caller's group ids; a partitioned merge scatters them into the
+    full-width result.
     """
 
     sql_type: SQLType
@@ -92,7 +79,7 @@ def result_sql_type(func: str, arg_type: Optional[SQLType]) -> SQLType:
 # ----------------------------------------------------------------------
 # Kernels.  Each body is the single implementation of its aggregate's
 # numpy sequence; repro.engine.aggregates wraps these for the serial
-# and thread paths, repro.engine.process_backend for workers.
+# and thread paths.
 # ----------------------------------------------------------------------
 def kernel_count_star(group_ids: np.ndarray,
                       n_groups: int) -> PartialAggState:
@@ -115,8 +102,8 @@ def kernel_count_distinct(codes: np.ndarray, cardinality: int,
     """count(DISTINCT x) over pre-computed dictionary codes.
 
     ``codes`` follow the :class:`~repro.engine.groupby.EncodedColumn`
-    convention (0 = NULL); encoding happens on the coordinator so the
-    encoding cache is charged identically on every backend.
+    convention (0 = NULL); the caller encodes, so the encoding cache
+    stays outside the kernel.
     """
     valid = codes != 0
     if not valid.any():
@@ -201,7 +188,7 @@ def kernel_min_max(func: str, values: np.ndarray, nulls: np.ndarray,
     """min/max for the sentinel-friendly types (numeric, boolean).
 
     VARCHAR goes through :func:`kernel_min_max_sorted` -- object
-    arrays support neither sentinels nor shared memory.
+    arrays support no sentinels.
     """
     valid = ~nulls
     out_nulls = np.bincount(group_ids[valid], minlength=n_groups) == 0
@@ -250,90 +237,3 @@ def _min_sentinel(sql_type: SQLType):
     if sql_type == SQLType.INTEGER:
         return np.iinfo(np.int64).min
     return -np.inf
-
-
-# ----------------------------------------------------------------------
-# Morsel planning (the process backend's work partitioning)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Morsel:
-    """One unit of worker work: a contiguous range of the group-sorted
-    row permutation covering the *complete* groups ``[g_lo, g_hi)``.
-
-    ``lo``/``hi`` index into :attr:`MorselPlan.order`; a worker's rows
-    are ``order[lo:hi]`` and its local group ids are
-    ``sorted_group_ids[lo:hi] - g_lo``.
-    """
-
-    lo: int
-    hi: int
-    g_lo: int
-    g_hi: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def n_groups(self) -> int:
-        return self.g_hi - self.g_lo
-
-
-@dataclass
-class MorselPlan:
-    """Group-aligned morsels over one grouping.
-
-    ``order`` is the stable argsort of the group ids: rows sorted by
-    group, original order preserved within each group.  Every morsel's
-    cut sits on a group boundary, so the parallel merge is a slice
-    assignment and float accumulation replays the serial addend order
-    (see the module docstring).
-    """
-
-    order: np.ndarray             # int64 row permutation, group-sorted
-    sorted_group_ids: np.ndarray  # group_ids[order]
-    morsels: list[Morsel]
-
-    @property
-    def degree(self) -> int:
-        return len(self.morsels)
-
-
-def plan_morsels(group_ids: np.ndarray, n_groups: int,
-                 morsel_rows: int) -> Optional[MorselPlan]:
-    """Split rows into group-aligned morsels of roughly ``morsel_rows``.
-
-    Returns ``None`` when the input cannot usefully split: fewer than
-    two morsels would result (small input, or one dominant group
-    swallowing everything).  The caller then stays serial.
-    """
-    n_rows = len(group_ids)
-    if n_rows == 0 or n_groups <= 0 or morsel_rows < 1 \
-            or n_rows <= morsel_rows:
-        return None
-    order = np.argsort(group_ids, kind="stable").astype(np.int64)
-    sorted_ids = group_ids[order]
-    # Position where each group starts in sorted-row space.  Group ids
-    # are dense ranks (every id in [0, n_groups) occurs), so this is
-    # total: bounds[g] .. bounds[g+1] is exactly group g's row range.
-    bounds = np.empty(n_groups + 1, dtype=np.int64)
-    bounds[:n_groups] = np.searchsorted(sorted_ids,
-                                        np.arange(n_groups))
-    bounds[n_groups] = n_rows
-    morsels: list[Morsel] = []
-    g = 0
-    while g < n_groups:
-        # One safepoint per morsel planned: a cancel lands before any
-        # shared-memory export, so nothing has to be unwound yet.
-        cancel.checkpoint("morsel")
-        target = bounds[g] + morsel_rows
-        g_next = int(np.searchsorted(bounds, target, side="left"))
-        g_next = max(g_next, g + 1)       # always advance a full group
-        g_next = min(g_next, n_groups)
-        morsels.append(Morsel(lo=int(bounds[g]), hi=int(bounds[g_next]),
-                              g_lo=g, g_hi=g_next))
-        g = g_next
-    if len(morsels) < 2:
-        return None
-    return MorselPlan(order=order, sorted_group_ids=sorted_ids,
-                      morsels=morsels)

@@ -55,8 +55,7 @@ def compute_pivot_aggregates(agg_specs: list[ast.FuncCall], frame: Frame,
                              stats: Optional[StatsCollector],
                              cache: Optional[EncodingCache] = None,
                              parallel_degree: int = 1,
-                             on_parallel=None,
-                             process_agg=None) -> set[int]:
+                             on_parallel=None) -> set[int]:
     """Compute every pivot-family aggregate, binding ``__aggI`` columns
     into ``group_frame``.  Returns the set of handled spec indexes.
 
@@ -64,10 +63,6 @@ def compute_pivot_aggregates(agg_specs: list[ast.FuncCall], frame: Frame,
     and aggregation over the operator pool; ``on_parallel`` (if given)
     is called with the degree actually used, so the executor's
     parallel-degree observation covers pivot families too.
-    ``process_agg`` is the multiprocess backend's batch hook --
-    ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- used for
-    the per-cell aggregation instead of thread partitioning when the
-    executor runs with ``parallel_backend="process"``.
     """
     families = _detect_families(agg_specs, frame)
     handled: set[int] = set()
@@ -80,8 +75,7 @@ def compute_pivot_aggregates(agg_specs: list[ast.FuncCall], frame: Frame,
         _compute_family(terms, list(column_keys), columns, result_expr,
                         frame, grouping, group_frame, stats, cache,
                         parallel_degree=parallel_degree,
-                        on_parallel=on_parallel,
-                        process_agg=process_agg)
+                        on_parallel=on_parallel)
         handled.update(t.index for t in terms)
     return handled
 
@@ -179,8 +173,7 @@ def _compute_family(terms: list[_PivotTerm], column_keys: list,
                     stats: Optional[StatsCollector],
                     cache: Optional[EncodingCache] = None,
                     parallel_degree: int = 1,
-                    on_parallel=None,
-                    process_agg=None) -> None:
+                    on_parallel=None) -> None:
     n_rows = frame.n_rows
     if stats is not None:
         # One hash probe per input row for the whole family.
@@ -212,12 +205,7 @@ def _compute_family(terms: list[_PivotTerm], column_keys: list,
     # One aggregation pass per distinct function: terms with different
     # functions share the factorization (the O(1) dispatch) but must
     # not share cell values.
-    if process_agg is not None:
-        funcs = sorted({t.func for t in terms})
-        cells_by_func = process_agg(
-            [(func, func, arg, False) for func in funcs],
-            combined.group_ids, combined.n_groups)
-    elif pcombined is not None:
+    if pcombined is not None:
         cells_by_func = {
             func: agg_mod.compute_aggregate_partitioned(
                 func, arg, False, pcombined)

@@ -12,16 +12,16 @@ contract after every single shot:
   silently vanishes, surfaces as some other error, or escapes untyped
   is a finding);
 * the unwind releases everything -- catalog fingerprint unchanged,
-  zero temp tables leaked, zero live shared-memory segments (process
-  backend), zero live page stores or stray files (disk storage);
+  zero temp tables leaked, zero live page stores or stray files (disk
+  storage);
 * a clean re-run afterwards returns rows bit-identical to the
   undisturbed reference: cancellation left no residue that changes
   answers.
 
-Variants mirror the fault sweep: the serial/thread/process parallel
-backends crossed with the memory/disk table substrates, so cancel can
-land mid-morsel-plan with shared memory exported and mid-page-fetch
-with the buffer pool warm.
+Variants mirror the fault sweep: the serial and thread execution paths
+crossed with the memory/disk table substrates, so cancel can land
+mid-partitioned-group-by and mid-page-fetch with the buffer pool
+warm.
 
 Any broken invariant becomes a :class:`CancelFinding`; a sweep with no
 findings is the acceptance criterion for the safepoint machinery.
@@ -36,15 +36,14 @@ from typing import Any, Optional
 
 from repro.core.execute import RetryPolicy, run_resilient
 from repro.engine import cancel as cancel_mod
-from repro.engine import shm
 from repro.engine.cancel import SAFEPOINTS, CancelToken
 from repro.errors import QueryCancelledError, ReproError
 from repro.fuzz.generator import FuzzCase
 from repro.fuzz.runner import _BACKEND_KW, _STORAGE_POOL_PAGES, _load_db
 from repro.storage import engine as storage_engine
 
-#: Parallel backends the sweep crosses with each storage substrate.
-BACKENDS = ("serial", "thread", "process")
+#: Execution paths the sweep crosses with each storage substrate.
+BACKENDS = ("serial", "thread")
 
 #: Table substrates.
 STORAGES = ("memory", "disk")
@@ -54,7 +53,7 @@ STORAGES = ("memory", "disk")
 _NO_BACKOFF = RetryPolicy(backoff_seconds=0.0)
 
 #: At most this many hit indexes are swept per safepoint (first,
-#: middle, last) -- hot safepoints like ``morsel`` are crossed many
+#: middle, last) -- hot safepoints like ``page-fetch`` are crossed many
 #: times per query and sweeping each crossing buys nothing.
 _INDEX_LIMIT = 3
 
@@ -140,8 +139,7 @@ def _sweep_variant(case: FuzzCase, stats: CancelSweepStats,
     try:
         db = _load_db(case, **kwargs)
         try:
-            _sweep_db(case, stats, db, variant,
-                      process=(backend == "process"))
+            _sweep_db(case, stats, db, variant)
         finally:
             db.close()
         if tmp is not None:
@@ -156,7 +154,7 @@ def _sweep_variant(case: FuzzCase, stats: CancelSweepStats,
 
 
 def _sweep_db(case: FuzzCase, stats: CancelSweepStats, db,
-              variant: str, process: bool) -> None:
+              variant: str) -> None:
     stats.variants += 1
     sql = case.query_sql()
     # The savepoint pins the baseline objects so the identity-based
@@ -193,14 +191,13 @@ def _sweep_db(case: FuzzCase, stats: CancelSweepStats, db,
     for site, index in shots:
         stats.injections += 1
         _run_shot(case, stats, db, variant, sql, site, index,
-                  reference, fingerprint, baseline, base_names,
-                  process)
+                  reference, fingerprint, baseline, base_names)
 
 
 def _run_shot(case: FuzzCase, stats: CancelSweepStats, db,
               variant: str, sql: str, site: str, index: int,
               reference: Optional[list], fingerprint, baseline,
-              base_names: set, process: bool) -> None:
+              base_names: set) -> None:
     token = CancelToken()
     token.cancel_at = (site, index)
     error: Optional[BaseException] = None
@@ -272,14 +269,6 @@ def _run_shot(case: FuzzCase, stats: CancelSweepStats, db,
         # Contain the damage so later shots of this case still sweep
         # against the intended baseline.
         db.catalog.rollback(baseline)
-    if process:
-        segments = shm.live_segment_names()
-        if segments:
-            shm.force_unlink_all()
-            stats.findings.append(CancelFinding(
-                case, variant, site, index,
-                "shared-memory segments leaked",
-                ", ".join(segments)))
 
     # Re-run leg: the engine must be fully usable after a cancel, and
     # the answer must match the undisturbed reference bit-for-bit.

@@ -107,15 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "(2 workers, row threshold 0); they must "
                              "match the serial variants bit-for-bit")
     parser.add_argument("--backend", action="append",
-                        choices=("serial", "thread", "process"),
+                        choices=("serial", "thread"),
                         default=None, metavar="BACKEND",
                         help="add engine variants pinned to this "
-                             "parallel backend (repeatable; serial, "
-                             "thread or process).  Process variants "
-                             "use 2-row morsels so tiny tables still "
-                             "fan out over shared memory, and any "
-                             "segment leaked after a case counts as "
-                             "a divergence")
+                             "execution path (repeatable; serial = one "
+                             "worker, thread = 2 workers with row "
+                             "threshold 0); they must agree "
+                             "bit-for-bit")
     parser.add_argument("--storage", action="append",
                         choices=("memory", "disk"), default=None,
                         metavar="BACKEND",
@@ -150,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "narrow with --backend/--storage) and "
                              "check that each shot unwinds as a clean "
                              "typed QueryCancelledError with no "
-                             "catalog/shm/store leakage and a "
+                             "catalog/store leakage and a "
                              "bit-identical re-run")
     parser.add_argument("--views", action="store_true",
                         help="run the materialized-view maintenance "
@@ -174,8 +172,6 @@ _AXIS_DESCRIPTIONS = {
     "serial": "interpreted engine, one worker (the baseline plans)",
     "thread": "thread pool, 2 workers, row threshold 0 (every "
               "aggregation partitions)",
-    "process": "shared-memory process pool, 2 workers, 2-row morsels "
-               "(leaked segments are divergences)",
     "memory": "in-memory column store (the default substrate)",
     "disk": "page-backed store, 8-page buffer pool (evictions on "
             "purpose; stray files are divergences)",
@@ -186,7 +182,7 @@ _AXIS_DESCRIPTIONS = {
 
 def _list_variants() -> int:
     print("variant matrix (backend x storage x trace):")
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "thread"):
         for storage in ("memory", "disk"):
             for trace in ("untraced", "traced"):
                 name = f"{backend}/{storage}/{trace}"

@@ -45,7 +45,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.api.database import Database
 from repro.core import plan as plan_mod
-from repro.engine import shm
 from repro.storage import engine as storage_engine
 from repro.core.execute import execute_plan, generate_plan
 from repro.core.hagg import HorizontalAggStrategy
@@ -129,13 +128,10 @@ def run_case(case: FuzzCase,
     path); they must agree bit-for-bit with the serial variants and
     the oracle.
 
-    ``backends`` adds one engine variant per named parallel backend
-    (``serial``/``thread``/``process``), each with 2 workers, a zero
-    row threshold and -- for the process backend -- a 2-row morsel
-    target, so even the fuzzer's tiny tables actually fan out.  All
-    must agree bit-for-bit.  When ``process`` is among them, a
-    shared-memory segment left live after the case counts as a
-    divergence (the leaked names are reclaimed and reported).
+    ``backends`` adds one engine variant per named execution path:
+    ``serial`` (1 worker) and ``thread`` (2 workers, zero row
+    threshold, so even the fuzzer's tiny tables actually fan out).
+    They must agree bit-for-bit.
 
     ``storages`` adds one engine variant per named table substrate
     beyond the default in-memory one (only ``"disk"`` adds anything:
@@ -145,7 +141,7 @@ def run_case(case: FuzzCase,
     pool, so even small tables evict; they must agree bit-for-bit with
     the memory variants and the oracle.  A store directory left with
     stray files, or a store still open after its variant finished,
-    counts as a divergence (mirroring the shared-memory leak oracle).
+    counts as a divergence.
 
     ``trace`` runs every engine variant on a traced database and
     checks the trace after each successful run: every span tree must
@@ -158,14 +154,6 @@ def run_case(case: FuzzCase,
     for name, thunk in _variants(case, inject_bug, case_timeout,
                                  parallel, trace, backends, storages):
         result.variants.append(_evaluate(name, thunk))
-    if "process" in backends:
-        leaked = shm.live_segment_names()
-        if leaked:
-            shm.force_unlink_all()
-            result.divergent = True
-            result.explanation = (f"leaked shared-memory segment(s): "
-                                  f"{', '.join(leaked)}")
-            return result
     if "disk" in storages:
         leaked = storage_engine.live_store_paths()
         if leaked:
@@ -333,15 +321,10 @@ def _sqlite_union_rows(case: FuzzCase) -> list:
 _PARALLEL_KW: dict[str, Any] = {"parallel_workers": 2,
                                 "parallel_row_threshold": 0}
 
-#: Engine options per ``--backend`` variant.  The process backend gets
-#: a 2-row morsel target so the fuzzer's tiny tables still split into
-#: multiple morsels and exercise shared-memory dispatch + merge.
+#: Engine options per ``--backend`` variant.
 _BACKEND_KW: dict[str, dict[str, Any]] = {
-    "serial": {"parallel_workers": 2, "parallel_row_threshold": 0,
-               "parallel_backend": "serial"},
-    "thread": {"parallel_workers": 2, "parallel_row_threshold": 0},
-    "process": {"parallel_workers": 2, "parallel_row_threshold": 0,
-                "parallel_backend": "process", "morsel_rows": 2},
+    "serial": {"parallel_workers": 1},
+    "thread": _PARALLEL_KW,
 }
 
 

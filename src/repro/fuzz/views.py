@@ -17,10 +17,10 @@ contract of :mod:`repro.views`:
   NULL keys and NULL/zero denominators, because the generator's value
   pools are shared with the differential fuzzer's adversarial data.
 
-Variants mirror the cancel sweep: serial/thread/process parallel
-backends crossed with the memory/disk substrates, with the same leak
-oracles (live shared-memory segments after a process variant, stray
-store files after a disk variant are findings, not warnings).
+Variants mirror the cancel sweep: the serial and thread execution
+paths crossed with the memory/disk substrates, with the same leak
+oracle (stray store files after a disk variant are findings, not
+warnings).
 
 ``inject_bug`` wires :data:`repro.views.maintenance.INJECT_BUG` for
 the duration -- the harness self-test: a deliberately broken
@@ -41,7 +41,6 @@ import numpy as np
 from repro.core.execute import run_percentage_query
 from repro.core.horizontal import HorizontalStrategy
 from repro.core.vertical import VerticalStrategy
-from repro.engine import shm
 from repro.engine.table import Table
 from repro.errors import ReproError
 from repro.fuzz.generator import FuzzCase
@@ -50,8 +49,8 @@ from repro.fuzz.runner import (_BACKEND_KW, _STORAGE_POOL_PAGES,
 from repro.storage import engine as storage_engine
 from repro.views import maintenance
 
-#: Parallel backends the sweep crosses with each storage substrate.
-BACKENDS = ("serial", "thread", "process")
+#: Execution paths the sweep crosses with each storage substrate.
+BACKENDS = ("serial", "thread")
 
 #: Table substrates.
 STORAGES = ("memory", "disk")
@@ -164,14 +163,6 @@ def _sweep_variant(case: FuzzCase, stats: ViewSweepStats,
             _sweep_db(case, stats, db, variant)
         finally:
             db.close()
-        if backend == "process":
-            segments = shm.live_segment_names()
-            if segments:
-                shm.force_unlink_all()
-                stats.findings.append(ViewFinding(
-                    case, variant, "-",
-                    "shared-memory segments leaked",
-                    ", ".join(segments)))
         if tmp is not None:
             stray = storage_engine.stray_files(tmp)
             if stray:

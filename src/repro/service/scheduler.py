@@ -371,8 +371,7 @@ class Scheduler:
             help="read scripts forced onto cheaper options near "
                  "capacity").inc()
         return dataclasses.replace(
-            options, case_dispatch="hash", parallel_backend="serial",
-            parallel_degree=1), True
+            options, case_dispatch="hash", parallel_degree=1), True
 
     def _run_read(self, session: Session, sql: str,
                   statements: list[ast.Statement], enqueued: float,

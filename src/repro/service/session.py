@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.engine.executor import PARALLEL_BACKENDS, ExecutorOptions
+from repro.engine.executor import ExecutorOptions
 from repro.errors import (AdmissionRejected, CircuitBreakerOpen,
                           SessionClosed)
 
@@ -46,8 +46,6 @@ class SessionDefaults:
     use_encoding_cache: Optional[bool] = None
     parallel_workers: Optional[int] = None
     parallel_row_threshold: Optional[int] = None
-    parallel_backend: Optional[str] = None
-    morsel_rows: Optional[int] = None
     #: Wall-clock deadline (seconds) every script submitted through
     #: this session runs under.  The clock starts at *submission*, so
     #: queue wait counts against it -- that is what lets the scheduler
@@ -70,12 +68,6 @@ class SessionDefaults:
         if (self.parallel_row_threshold is not None
                 and self.parallel_row_threshold < 0):
             raise ValueError("parallel_row_threshold must be >= 0")
-        if self.parallel_backend not in (None, *PARALLEL_BACKENDS):
-            raise ValueError(
-                f"parallel_backend must be one of "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        if self.morsel_rows is not None and self.morsel_rows < 1:
-            raise ValueError("morsel_rows must be >= 1")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be > 0")
 
@@ -98,10 +90,7 @@ class SessionDefaults:
             parallel_degree=pick(self.parallel_workers,
                                  base.parallel_degree),
             parallel_row_threshold=pick(self.parallel_row_threshold,
-                                        base.parallel_row_threshold),
-            parallel_backend=pick(self.parallel_backend,
-                                  base.parallel_backend),
-            morsel_rows=pick(self.morsel_rows, base.morsel_rows))
+                                        base.parallel_row_threshold))
 
 
 class Session:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.bench.harness import (run_hagg_experiment,
+from repro.bench.harness import (main, run_hagg_experiment,
                                  run_hpct_experiment,
                                  run_olap_experiment,
                                  run_vpct_experiment)
@@ -123,6 +123,15 @@ class TestReport:
                                            name="best"))
         text = format_table("t", results)
         assert "-" in text.splitlines()[-1]
+
+
+class TestCli:
+    def test_help_exits_cleanly(self, capsys):
+        # argparse %-formats help strings: a bare '%' in one crashes.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--suite" in capsys.readouterr().out
 
 
 class TestOverloadSuite:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
-from repro.engine import shm
 from repro.storage import engine as storage_engine
 
 
@@ -50,25 +49,6 @@ def assert_no_temp_leaks(databases) -> None:
         f"temp tables leaked past the plan boundary: {leaks}; either "
         f"the plan's cleanup/rollback is broken or the test wants "
         f"@pytest.mark.allow_temp_leaks")
-
-
-@pytest.fixture(autouse=True)
-def no_shm_leaks(request):
-    """Every test must leave zero live shared-memory segments behind:
-    the exporter's try/finally (and the registry's force-unlink) are
-    the product's cleanup guarantees, and this guard is their oracle.
-    Opt out with ``@pytest.mark.allow_shm_leaks``."""
-    yield
-    if request.node.get_closest_marker("allow_shm_leaks"):
-        shm.force_unlink_all()
-        return
-    leaked = shm.live_segment_names()
-    if leaked:
-        shm.force_unlink_all()
-    assert not leaked, (
-        f"shared-memory segments leaked past the test: {leaked}; "
-        f"either an exporter skipped its close() or the test wants "
-        f"@pytest.mark.allow_shm_leaks")
 
 
 @pytest.fixture(autouse=True)

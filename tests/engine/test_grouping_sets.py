@@ -240,13 +240,9 @@ class TestBackendsAndStorage:
         db = make_db()
         return db.query(self.QUERY)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"parallel_workers": 2, "parallel_row_threshold": 0},
-        {"parallel_workers": 2, "parallel_row_threshold": 0,
-         "parallel_backend": "process", "morsel_rows": 2},
-    ], ids=["thread", "process"])
-    def test_parallel_backends_bit_identical(self, kwargs):
-        assert make_db(**kwargs).query(self.QUERY) == self.reference()
+    def test_thread_parallel_bit_identical(self):
+        db = make_db(parallel_workers=2, parallel_row_threshold=0)
+        assert db.query(self.QUERY) == self.reference()
 
     def test_disk_storage_bit_identical(self, tmp_path):
         db = make_db(storage="disk", storage_path=str(tmp_path),

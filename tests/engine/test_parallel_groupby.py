@@ -25,6 +25,9 @@ QUERIES = [
     "SELECT d, c, sum(b) FROM t GROUP BY d, c ORDER BY d, c",
     "SELECT d, count(a), count(b) FROM t GROUP BY d ORDER BY d",
     "SELECT c, sum(a) FROM t GROUP BY c ORDER BY c",
+    "SELECT d, min(c), max(c) FROM t GROUP BY d ORDER BY d",
+    "SELECT d, count(DISTINCT c) FROM t GROUP BY d ORDER BY d",
+    "SELECT d, var(a), stdev(a) FROM t GROUP BY d ORDER BY d",
 ]
 
 
@@ -61,6 +64,14 @@ class TestBitIdentity:
         rows = [run_resilient(db, sql).result.to_rows()
                 for db in (serial, parallel)]
         assert rows[0] == rows[1]
+
+    def test_thread_fanout_counts_its_tasks(self):
+        _, parallel = _pair()
+        parallel.query("SELECT d, sum(a) FROM t GROUP BY d")
+        samples = parallel.stats.registry.samples()
+        assert any(k.startswith("engine_parallel_tasks_total")
+                   and 'backend="thread"' in k and v > 0
+                   for k, v in samples.items())
 
     def test_degree_exceeding_rows(self):
         db = Database(parallel_workers=64, parallel_row_threshold=1)
@@ -146,7 +157,7 @@ class TestExplain:
             "EXPLAIN SELECT d, sum(a) FROM t GROUP BY d")]
         parallel_lines = [l for l in lines if l.startswith("parallel:")]
         assert parallel_lines == [
-            "parallel: degree=4 backend=thread (row threshold 1)"]
+            "parallel: degree=4 (row threshold 1)"]
         governor_at = next(i for i, l in enumerate(lines)
                            if l.startswith("governor:"))
         assert lines.index(parallel_lines[0]) < governor_at

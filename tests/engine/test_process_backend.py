@@ -1,24 +1,17 @@
-"""The multiprocess backend end to end: bit-identity against serial
-execution, shared-memory lifecycle under injected faults and worker
-death, metric/EXPLAIN/tracer surfaces, and the configuration knobs."""
+"""Configuration and EXPLAIN surfaces of intra-query parallelism: how
+session defaults resolve and validate the parallel knobs, and that a
+serial run reports no parallel plan line.
+
+The module name dates from when it also covered a multiprocess
+backend; parallel aggregation now runs on operator threads only (see
+docs/parallelism.md and tests/engine/test_parallel_groupby.py)."""
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.api.database import Database
-from repro.engine import faults, shm
-from repro.engine.aggregates import compute_aggregate, count_star
-from repro.engine.column import ColumnData
 from repro.engine.executor import ExecutorOptions
-from repro.engine.faults import FaultInjector, FaultSpec
-from repro.engine.procpool import ProcessPool
-from repro.engine.process_backend import run_grouped_aggregates
-from repro.engine.types import SQLType
-from repro.errors import TransientError, WorkerCrashError
 from repro.service.session import SessionDefaults
 
 SETUP = """
@@ -29,287 +22,32 @@ SETUP = """
                          (4, 'z', -1.5, 7), (4, 'x', 2.25, 0)
 """
 
-QUERIES = [
-    "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, avg(a), count(*) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, min(a), max(b) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, min(c), max(c) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, count(a), count(b) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, count(DISTINCT c) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, var(a), stdev(a) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, c, sum(b) FROM t GROUP BY d, c ORDER BY d, c",
-]
-
-
-def _process_db(**extra) -> Database:
-    # morsel_rows=2 so even this 8-row table splits into multiple
-    # morsels and actually crosses the process boundary.
-    kwargs = dict(parallel_workers=4, parallel_row_threshold=1,
-                  parallel_backend="process", morsel_rows=2)
-    kwargs.update(extra)
-    db = Database(**kwargs)
-    db.execute_script(SETUP)
-    return db
-
-
-def _serial_db() -> Database:
-    db = Database()
-    db.execute_script(SETUP)
-    return db
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_matches_serial(self, sql):
-        assert _process_db().query(sql) == _serial_db().query(sql)
-
-    def test_real_sum_dtype_across_morsels(self):
-        # The bincount dtype trap, morsel edition: an all-NULL morsel's
-        # partial is int64; the merge buffer must come from the result
-        # SQL type so 0.25 survives.
-        db = Database(parallel_workers=2, parallel_row_threshold=1,
-                      parallel_backend="process", morsel_rows=2)
-        db.execute_script("""
-            CREATE TABLE r (d INT, a REAL);
-            INSERT INTO r VALUES (1, 10.0), (1, 0.25),
-                                 (2, NULL), (2, NULL),
-                                 (3, 1.5), (3, 2.5)
-        """)
-        assert db.query(
-            "SELECT d, sum(a) FROM r GROUP BY d ORDER BY d") == [
-            (1, 10.25), (2, None), (3, 4.0)]
-
-    def test_vpct_plan_matches_serial(self):
-        from repro.core.execute import run_resilient
-        sql = "SELECT d, Vpct(a) FROM t GROUP BY d"
-        rows = [run_resilient(db, sql).result.to_rows()
-                for db in (_serial_db(), _process_db())]
-        assert rows[0] == rows[1]
-
-    def test_no_segments_survive_queries(self):
-        db = _process_db()
-        for sql in QUERIES:
-            db.query(sql)
-        assert shm.live_segment_names() == []
-
-
-class TestRunGroupedAggregates:
-    def test_mixed_eligible_and_local_items(self):
-        rng = np.random.default_rng(5)
-        n_rows, n_groups = 400, 9
-        group_ids = rng.integers(0, n_groups, size=n_rows)
-        group_ids[:n_groups] = np.arange(n_groups)
-        group_ids = group_ids.astype(np.int64)
-        reals = ColumnData(SQLType.REAL,
-                           rng.normal(size=n_rows),
-                           rng.random(n_rows) < 0.2)
-        words = ColumnData.from_values(
-            SQLType.VARCHAR,
-            [None if i % 7 == 0 else f"w{i % 5}"
-             for i in range(n_rows)])
-        items = [("s", "sum", reals, False),
-                 ("m", "min", words, False),     # VARCHAR -> local
-                 ("c", "count", None, False),
-                 ("d", "count", words, True)]    # DISTINCT -> codes
-        out = run_grouped_aggregates(items, group_ids, n_groups,
-                                     morsel_rows=32)
-        assert set(out) == {"s", "m", "c", "d"}
-        serial = {
-            "s": compute_aggregate("sum", reals, False, group_ids,
-                                   n_groups),
-            "m": compute_aggregate("min", words, False, group_ids,
-                                   n_groups),
-            "c": count_star(group_ids, n_groups),
-            "d": compute_aggregate("count", words, True, group_ids,
-                                   n_groups),
-        }
-        for key, expected in serial.items():
-            assert np.array_equal(out[key].values, expected.values)
-            assert np.array_equal(out[key].nulls, expected.nulls)
-        assert shm.live_segment_names() == []
-
-    def test_small_input_runs_local(self):
-        group_ids = np.array([0, 1, 0], dtype=np.int64)
-        arg = ColumnData.from_values(SQLType.REAL, [1.0, 2.0, 3.0])
-        out = run_grouped_aggregates([("s", "sum", arg, False)],
-                                     group_ids, 2, morsel_rows=8192)
-        assert out["s"].values.tolist() == [4.0, 2.0]
-        assert shm.live_segment_names() == []
-
-
-class TestFaultsAndDeath:
-    def test_injected_fault_unlinks_segments(self):
-        db = _process_db()
-        injector = FaultInjector([FaultSpec("process-worker")])
-        with faults.active(injector):
-            with pytest.raises(TransientError):
-                db.query("SELECT d, sum(a) FROM t GROUP BY d")
-        assert injector.faults_raised == 1
-        assert shm.live_segment_names() == []
-        # The backend is fully usable again afterwards.
-        assert db.query(
-            "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d") == \
-            _serial_db().query(
-                "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d")
-
-    def test_worker_death_raises_and_pool_recovers(self):
-        pool = ProcessPool(size=2)
-        try:
-            with pytest.raises(WorkerCrashError):
-                pool.run_batch(f"{__name__}:_die", [0])
-            # _check_alive rebuilt the pool: the next batch succeeds.
-            assert pool.run_batch(f"{__name__}:_echo",
-                                  [1, 2, 3]) == [2, 3, 4]
-        finally:
-            pool.shutdown()
-        assert shm.live_segment_names() == []
-
-    def test_worker_task_error_propagates(self):
-        pool = ProcessPool(size=2)
-        try:
-            with pytest.raises(ValueError, match="boom"):
-                pool.run_batch(f"{__name__}:_boom", [0])
-            assert pool.run_batch(f"{__name__}:_echo", [5]) == [6]
-        finally:
-            pool.shutdown()
-
-    def test_shutdown_is_idempotent(self):
-        """The atexit hook racing an explicit shutdown: the second
-        call must find the closed pool and return without touching the
-        already-closed queues or respawning workers."""
-        pool = ProcessPool(size=2)
-        assert pool.run_batch(f"{__name__}:_echo", [1]) == [2]
-        pool.shutdown()
-        assert pool._workers == []
-        pool.shutdown()  # the atexit hook's call
-        assert pool._workers == []
-
-    def test_reset_on_closed_pool_does_not_restart(self):
-        """A WorkerCrashError unwind racing teardown: _reset on a
-        closed pool must tear down without rebuilding (restarting a
-        pool nobody will use again leaks its worker processes)."""
-        pool = ProcessPool(size=2)
-        pool.shutdown()
-        pool._reset()
-        assert pool._workers == []
-
-    def test_reset_while_finalizing_does_not_restart(self, monkeypatch):
-        """During interpreter shutdown Process.start() raises, so a
-        finalizing _reset (daemon worker reaped before our teardown)
-        must not attempt a rebuild."""
-        import sys
-
-        pool = ProcessPool(size=2)
-        try:
-            monkeypatch.setattr(sys, "is_finalizing", lambda: True)
-            pool._reset()
-            assert pool._workers == []
-        finally:
-            monkeypatch.undo()
-            pool.shutdown()
-
 
 class TestObservability:
-    def test_backend_metrics(self):
-        db = _process_db()
-        db.query("SELECT d, sum(a), count(*) FROM t GROUP BY d")
-        samples = db.stats.registry.samples()
-        tasks = [v for k, v in samples.items()
-                 if k.startswith("engine_parallel_tasks_total")
-                 and 'backend="process"' in k]
-        assert tasks and tasks[0] > 0
-        exported = [v for k, v in samples.items()
-                    if k.startswith("engine_shm_bytes_exported")]
-        assert exported and exported[0] > 0
-        saturation = [v for k, v in samples.items()
-                      if k.startswith("engine_worker_pool_saturation")]
-        assert saturation and saturation[0] > 0
-
-    def test_thread_backend_labels_its_tasks(self):
-        db = Database(parallel_workers=4, parallel_row_threshold=1)
-        db.execute_script(SETUP)
-        db.query("SELECT d, sum(a) FROM t GROUP BY d")
-        samples = db.stats.registry.samples()
-        assert any(k.startswith("engine_parallel_tasks_total")
-                   and 'backend="thread"' in k and v > 0
-                   for k, v in samples.items())
-
-    def test_explain_shows_backend_and_morsels(self):
-        db = _process_db()
-        lines = [row[0] for row in db.query(
-            "EXPLAIN SELECT d, sum(a) FROM t GROUP BY d")]
-        assert ("parallel: degree=4 backend=process "
-                "(row threshold 1, morsel rows 2)") in lines
-
     def test_explain_silent_for_serial_backend(self):
-        db = Database(parallel_workers=4, parallel_row_threshold=1,
-                      parallel_backend="serial")
+        # One worker is the serial path even with a zero-ish threshold.
+        db = Database(parallel_workers=1, parallel_row_threshold=1)
         db.execute_script(SETUP)
         lines = [row[0] for row in db.query(
             "EXPLAIN SELECT d, sum(a) FROM t GROUP BY d")]
         assert not [l for l in lines if l.startswith("parallel:")]
 
-    def test_worker_spans_in_trace(self):
-        db = _process_db(tracing=True)
-        db.query("SELECT d, sum(a) FROM t GROUP BY d")
-        dispatches = [s for root in db.tracer.roots()
-                      for s in root.find(name="process-dispatch")]
-        assert dispatches
-        morsels = dispatches[0].children
-        assert morsels and all(s.name == "process-morsel"
-                               for s in morsels)
-        assert all(s.attrs["worker_pid"] != os.getpid()
-                   for s in morsels)
-
 
 class TestConfiguration:
-    def test_database_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="parallel_backend"):
-            Database(parallel_backend="gpu")
-
-    def test_database_rejects_bad_morsel_rows(self):
-        with pytest.raises(ValueError, match="morsel_rows"):
-            Database(morsel_rows=0)
-
-    def test_set_parallel_backend(self):
-        db = _serial_db()
-        db.set_parallel_workers(4, row_threshold=1)
-        db.set_parallel_backend("process", morsel_rows=2)
-        assert db.query(
-            "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d") == \
-            _serial_db().query(
-                "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d")
-        with pytest.raises(ValueError):
-            db.set_parallel_backend("quantum")
-
     def test_session_defaults_validation(self):
-        with pytest.raises(ValueError, match="parallel_backend"):
-            SessionDefaults(parallel_backend="gpu")
-        with pytest.raises(ValueError, match="morsel_rows"):
-            SessionDefaults(morsel_rows=0)
+        with pytest.raises(ValueError, match="parallel_workers"):
+            SessionDefaults(parallel_workers=0)
+        with pytest.raises(ValueError, match="parallel_row_threshold"):
+            SessionDefaults(parallel_row_threshold=-1)
 
     def test_session_defaults_resolve(self):
         base = ExecutorOptions()
-        resolved = SessionDefaults(parallel_backend="process",
-                                   morsel_rows=16).resolve(base)
-        assert resolved.parallel_backend == "process"
-        assert resolved.morsel_rows == 16
-        assert base.parallel_backend == "thread"
+        resolved = SessionDefaults(parallel_workers=4,
+                                   parallel_row_threshold=16).resolve(base)
+        assert resolved.parallel_degree == 4
+        assert resolved.parallel_row_threshold == 16
+        assert base.parallel_degree == 1
         untouched = SessionDefaults().resolve(base)
-        assert untouched.parallel_backend == "thread"
-
-
-# ----------------------------------------------------------------------
-# Worker targets for the pool tests (resolved by name in forked
-# children, which inherit this module via sys.modules).
-# ----------------------------------------------------------------------
-def _die(payload):  # pragma: no cover - runs in a worker process
-    os._exit(1)
-
-
-def _echo(payload):  # pragma: no cover - runs in a worker process
-    return payload + 1
-
-
-def _boom(payload):  # pragma: no cover - runs in a worker process
-    raise ValueError("boom")
+        assert untouched.parallel_degree == 1
+        assert (untouched.parallel_row_threshold
+                == base.parallel_row_threshold)

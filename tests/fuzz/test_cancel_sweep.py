@@ -34,8 +34,8 @@ class TestCancelSweep:
     def test_sweep_covers_all_variants(self):
         stats = CancelSweepStats()
         sweep_case_cancel(_cases(1)[0], stats)
-        # 2 storages x 3 backends
-        assert stats.variants == 6
+        # 2 storages x 2 backends
+        assert stats.variants == 4
 
     @pytest.mark.allow_temp_leaks
     def test_sweep_detects_a_leaky_unwind(self, monkeypatch):

@@ -99,14 +99,14 @@ class TestDifferentialSmoke:
         case = next(c for c in _cube_cases(30, seed=2)
                     if len(c.rows) >= 4)
         result = run_case(case,
-                          backends=("serial", "thread", "process"),
+                          backends=("serial", "thread"),
                           storages=("disk",))
         assert not result.divergent, result.divergence_report()
         names = [v.name for v in result.variants]
         assert names == [
             "engine:shared-scan", "sqlite:union-all",
             "engine:shared-scan-serial", "engine:shared-scan-thread",
-            "engine:shared-scan-process", "engine:shared-scan-disk",
+            "engine:shared-scan-disk",
         ]
 
     def test_injected_fold_bug_is_caught(self, monkeypatch):

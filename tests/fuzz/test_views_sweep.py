@@ -26,9 +26,9 @@ class TestViewsSweep:
     def test_sweep_covers_all_variants(self):
         stats = ViewSweepStats()
         sweep_case_views(_cases(1)[0], stats)
-        # 2 storages x 3 backends; rejection (unsupported view shape)
+        # 2 storages x 2 backends; rejection (unsupported view shape)
         # is a per-variant outcome, not a skipped variant.
-        assert stats.variants + stats.rejected == 6
+        assert stats.variants + stats.rejected == 4
 
     @pytest.mark.parametrize("bug", ("views-skip-retraction",
                                      "views-stale-denominator"))
@@ -59,8 +59,9 @@ class TestCli:
     def test_list_variants(self, capsys):
         assert fuzz_main(["--list-variants"]) == 0
         out = capsys.readouterr().out
-        for variant in ("serial/memory/untraced", "process/disk/traced"):
+        for variant in ("serial/memory/untraced", "thread/disk/traced"):
             assert variant in out
+        assert "process" not in out
         assert "--views" in out
 
     def test_views_sweep_exit_codes(self, capsys):

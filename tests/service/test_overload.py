@@ -194,15 +194,21 @@ class TestBrownout:
                           brownout_fraction=0.5) as service:
             gate = _Gate(service)
             gate.install(monkeypatch)
-            with service.create_session() as session:
+            # The session asks for parallel aggregation; brownout's
+            # parallel_degree=1 is the only thing forcing it serial.
+            defaults = SessionDefaults(parallel_workers=2,
+                                       parallel_row_threshold=1)
+            with service.create_session(defaults) as session:
                 first = session.submit("SELECT d1 FROM f")
                 assert gate.entered.wait(timeout=10.0)
                 # One worker is pinned at the gate; the next query runs
                 # on the second worker with 2/4 capacity admitted.
                 gate.passthrough = True
-                second = session.submit("SELECT d2 FROM f")
+                second = session.submit(
+                    "SELECT d2, sum(a) FROM f GROUP BY d2")
                 report = second.result()
                 assert report.brownout
+                assert report.parallel_degree == 1
                 assert db.metrics.value("service_brownout_total") >= 1
                 gate.event.set()
                 assert not first.result().brownout
