@@ -217,8 +217,8 @@ class Executor:
         self.note_parallel_degree(degree)
         self.stats.registry.counter(
             "engine_parallel_tasks_total",
-            help="parallel tasks dispatched, by backend",
-            backend="thread").inc(int(degree))
+            help="parallel tasks dispatched to operator threads"
+        ).inc(int(degree))
 
     def parallel_degree_observed(self) -> int:
         """The widest fan-out any operator on this thread used since

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.engine.types import SQLType
-from repro.errors import PlanningError, TypeMismatchError
+from repro.errors import TypeMismatchError
 
 
 @dataclass
@@ -51,29 +51,6 @@ class PartialAggState:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def result_sql_type(func: str, arg_type: Optional[SQLType]) -> SQLType:
-    """The SQL type ``func`` over an ``arg_type`` argument returns.
-
-    This depends only on the function and the declared argument type,
-    never on the data -- which is what lets a parallel merge allocate
-    its buffer before any partial arrives (and why an all-NULL
-    partial's int64 ``bincount`` artifact cannot poison the result
-    dtype).
-    """
-    if func == "count":
-        return SQLType.INTEGER
-    if func in ("avg", "var", "stdev"):
-        return SQLType.REAL
-    if func == "sum":
-        return SQLType.INTEGER if arg_type == SQLType.INTEGER \
-            else SQLType.REAL
-    if func in ("min", "max"):
-        if arg_type is None:
-            return SQLType.REAL
-        return arg_type
-    raise PlanningError(f"unknown aggregate function {func}()")
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,9 @@ This package turns that claim into an executable check:
   and float-tolerance semantics,
 * :mod:`repro.fuzz.reducer` delta-debugs any divergence down to a
   minimal reproducer, persisted by :mod:`repro.fuzz.corpus` and
-  replayed forever by ``tests/fuzz/test_corpus.py``.
+  replayed forever by ``tests/fuzz/test_corpus.py``,
+* :mod:`repro.fuzz.sweep` drives the fault, cancel and view
+  maintenance sweeps over the same cases.
 
 Run it with ``python -m repro.fuzz --seed 0 --budget 500``.
 """

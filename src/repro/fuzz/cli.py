@@ -10,6 +10,7 @@ Examples::
     python -m repro.fuzz --seed 0 --budget 200 --case-timeout 10
     python -m repro.fuzz --seed 0 --budget 100 --trace
     python -m repro.fuzz --seed 0 --budget 100 --storage disk
+    python -m repro.fuzz --seed 0 --budget 60 --backend serial --backend thread
     python -m repro.fuzz --fault-sweep --storage disk --seed 0 --budget 20
     python -m repro.fuzz --cancel-sweep --seed 0 --budget 10
     python -m repro.fuzz --views --seed 0 --budget 20
@@ -23,23 +24,31 @@ minimized and written to ``--out`` as a replayable JSON repro).
 ``--case-timeout`` runs every engine variant under the resource
 governor's wall-clock budget so one pathological case cannot stall a
 whole run; timed-out variants are excluded from comparison.
-``--fault-sweep`` switches to the crash-consistency sweep: instead of
-comparing strategies it injects faults at every statement boundary of
-every case's plan and verifies recovery (see
-:mod:`repro.fuzz.crash`).
-``--cancel-sweep`` switches to the cancel-point chaos sweep: it arms a
-cancellation at every safepoint each case's query crosses and verifies
-the unwind (typed error, no leaks, bit-identical re-run; see
-:mod:`repro.fuzz.cancelsweep`).
 ``--trace`` runs every engine variant on a traced database and
 validates the trace after each run (well-formed span trees, charge
 audits, statement-count drift against the stats ledger); a malformed
 trace surfaces as a divergence.
-``--views`` switches to the materialized-view maintenance sweep: each
-case's query becomes a materialized view, a deterministic interleaved
-DML script mutates the base table, and after every statement the
-view-served answer must be bit-identical to a from-scratch recompute
-(see :mod:`repro.fuzz.views`).
+
+Three sweeps replace the differential comparison, all driven by one
+loop over the policies of :mod:`repro.fuzz.sweep`:
+
+* ``--fault-sweep`` injects faults at every statement boundary and
+  operator site of every case's plan and verifies recovery; with
+  ``--storage disk`` it sweeps the WAL/buffer-pool kill points
+  instead (see :mod:`repro.fuzz.crash`);
+* ``--cancel-sweep`` arms a cancellation at every safepoint each
+  case's query crosses and verifies the unwind (typed error, no leaks,
+  bit-identical re-run; see :mod:`repro.fuzz.cancelsweep`);
+* ``--views`` makes each case's query a materialized view, mutates
+  the base table with a deterministic DML script, and after every
+  statement requires the view-served answer bit-identical to a
+  from-scratch recompute (see :mod:`repro.fuzz.views`).
+
+A sweep exits 1 on any finding.  Each one honours ``--seed``,
+``--budget``, ``--max-seconds``, ``--family`` and ``--quiet`` plus
+the options its policy declares (``--backend``/``--storage``, and
+``--inject-bug`` for ``--views``); any other flag exits 2 rather than
+being silently ignored.
 ``--list-variants`` prints the backend x storage x trace variant
 matrix the sweeps iterate, with one-line descriptions, and exits.
 """
@@ -51,13 +60,23 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
+from repro.fuzz import cancelsweep, crash, views
 from repro.fuzz.corpus import load_corpus, save_repro
 from repro.fuzz.generator import FAMILIES, CaseGenerator, FuzzCase
 from repro.fuzz.reducer import reduce_case
 from repro.fuzz.runner import INJECTABLE_BUGS, run_case
-from repro.views.maintenance import VIEWS_BUGS
+from repro.fuzz.sweep import BACKENDS, STORAGES, Sweep, SweepStats
+
+#: The sweep policies, by the ``dest`` of the flag that selects each.
+SWEEPS: dict[str, Sweep] = {"fault_sweep": crash.SWEEP,
+                            "cancel_sweep": cancelsweep.SWEEP,
+                            "views": views.SWEEP}
+
+#: Options every sweep honours: they only shape the case stream.
+_CASE_STREAM = frozenset({"seed", "budget", "max_seconds", "family",
+                          "quiet"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where minimized divergences are written "
                              "(default: fuzz-failures/)")
     parser.add_argument("--inject-bug",
-                        choices=INJECTABLE_BUGS + VIEWS_BUGS,
+                        choices=INJECTABLE_BUGS + views.SWEEP.bugs,
                         default=None,
                         help="deliberately mis-compile one variant "
                              "(or, with --views, break one maintenance "
@@ -102,12 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(enforced by the resource governor; "
                              "timed-out variants are excluded from "
                              "comparison)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="add partition-parallel engine variants "
-                             "(2 workers, row threshold 0); they must "
-                             "match the serial variants bit-for-bit")
     parser.add_argument("--backend", action="append",
-                        choices=("serial", "thread"),
+                        choices=BACKENDS,
                         default=None, metavar="BACKEND",
                         help="add engine variants pinned to this "
                              "execution path (repeatable; serial = one "
@@ -115,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "threshold 0); they must agree "
                              "bit-for-bit")
     parser.add_argument("--storage", action="append",
-                        choices=("memory", "disk"), default=None,
+                        choices=STORAGES, default=None,
                         metavar="BACKEND",
                         help="add engine variants pinned to this table "
                              "substrate (repeatable).  'memory' is the "
@@ -124,11 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "buffer pool that must match the memory "
                              "variants bit-for-bit, with leaked page "
                              "files or live stores counted as "
-                             "divergences.  With --fault-sweep, 'disk' "
-                             "additionally sweeps the WAL/buffer-pool "
-                             "kill points (torn page writes, pre-fsync "
-                             "and post-commit crashes) and verifies "
-                             "recovery after a simulated kill")
+                             "divergences.  The sweeps run one "
+                             "variant per named backend x storage; "
+                             "--fault-sweep on 'disk' sweeps the "
+                             "WAL/buffer-pool kill points (torn page "
+                             "writes, pre-fsync and post-commit "
+                             "crashes) and verifies recovery after a "
+                             "simulated kill")
     parser.add_argument("--trace", action="store_true",
                         help="run engine variants on traced databases "
                              "and validate every trace (well-formed "
@@ -182,8 +199,8 @@ _AXIS_DESCRIPTIONS = {
 
 def _list_variants() -> int:
     print("variant matrix (backend x storage x trace):")
-    for backend in ("serial", "thread"):
-        for storage in ("memory", "disk"):
+    for backend in BACKENDS:
+        for storage in STORAGES:
             for trace in ("untraced", "traced"):
                 name = f"{backend}/{storage}/{trace}"
                 print(f"  {name:<24} backend: "
@@ -192,53 +209,55 @@ def _list_variants() -> int:
                       f"{_AXIS_DESCRIPTIONS[storage]}")
                 print(f"  {'':<24} trace:   "
                       f"{_AXIS_DESCRIPTIONS[trace]}")
-    print("sweeps: differential (default), --fault-sweep, "
-          "--cancel-sweep, --views; select axes with --backend, "
-          "--storage, --trace")
+    print("sweeps: differential (default; select axes with "
+          "--backend, --storage, --trace), --fault-sweep, "
+          "--cancel-sweep, --views (select axes with --backend, "
+          "--storage)")
     return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.list_variants:
         return _list_variants()
-    if sum((args.fault_sweep, args.cancel_sweep, args.views)) > 1:
-        print("error: --fault-sweep, --cancel-sweep and --views are "
-              "mutually exclusive", file=sys.stderr)
-        return 2
-    if args.inject_bug in VIEWS_BUGS and not args.views:
+    if args.inject_bug in views.SWEEP.bugs and not args.views:
         print(f"error: --inject-bug {args.inject_bug} requires "
               f"--views", file=sys.stderr)
         return 2
-    if args.views:
-        return _views(args)
-    if args.cancel_sweep:
-        return _cancel_sweep(args)
-    if args.fault_sweep:
-        return _sweep(args)
+    # A second sweep flag is rejected like any other flag the first
+    # sweep does not take.
+    sweep = next((dest for dest in SWEEPS if getattr(args, dest)), None)
+    if sweep is not None:
+        return _sweep(parser, args, sweep)
     if args.replay:
         return _replay(args)
     return _fuzz(args)
 
 
-# ----------------------------------------------------------------------
-def _fuzz(args: argparse.Namespace) -> int:
+def _cases(args: argparse.Namespace) -> Iterator[FuzzCase]:
+    """The generated case stream, cut short by ``--max-seconds``."""
     generator = CaseGenerator(seed=args.seed,
                               families=tuple(args.family or FAMILIES))
     started = time.monotonic()
-    families: Counter = Counter()
-    divergences = 0
-    ran = 0
-    for case in generator.cases(args.budget):
+    for ran, case in enumerate(generator.cases(args.budget)):
         if args.max_seconds is not None and \
                 time.monotonic() - started > args.max_seconds:
             print(f"time budget reached after {ran} cases")
-            break
-        ran += 1
+            return
+        yield case
+
+
+# ----------------------------------------------------------------------
+def _fuzz(args: argparse.Namespace) -> int:
+    started = time.monotonic()
+    families: Counter = Counter()
+    divergences = 0
+    for case in _cases(args):
         families[case.family] += 1
         result = run_case(case, inject_bug=args.inject_bug,
                           case_timeout=args.case_timeout,
-                          parallel=args.parallel, trace=args.trace,
+                          trace=args.trace,
                           backends=tuple(args.backend or ()),
                           storages=tuple(args.storage or ()))
         if result.divergent:
@@ -249,8 +268,8 @@ def _fuzz(args: argparse.Namespace) -> int:
     elapsed = time.monotonic() - started
     mix = ", ".join(f"{family}={count}"
                     for family, count in sorted(families.items()))
-    print(f"ran {ran} cases in {elapsed:.1f}s ({mix}); "
-          f"{divergences} divergence(s)")
+    print(f"ran {sum(families.values())} cases in {elapsed:.1f}s "
+          f"({mix}); {divergences} divergence(s)")
     if args.inject_bug and divergences == 0:
         print(f"error: --inject-bug {args.inject_bug} produced no "
               f"divergence -- the harness is blind to it", file=sys.stderr)
@@ -263,14 +282,12 @@ def _report(case: FuzzCase, result, args: argparse.Namespace) -> None:
     backends = tuple(args.backend or ())
     storages = tuple(args.storage or ())
     minimized = reduce_case(
-        case, lambda c: run_case(c, args.inject_bug,
-                                 parallel=args.parallel,
-                                 trace=args.trace,
+        case, lambda c: run_case(c, args.inject_bug, trace=args.trace,
                                  backends=backends,
                                  storages=storages).divergent)
     final = run_case(minimized, inject_bug=args.inject_bug,
-                     parallel=args.parallel, trace=args.trace,
-                     backends=backends, storages=storages)
+                     trace=args.trace, backends=backends,
+                     storages=storages)
     path = save_repro(
         minimized, Path(args.out),
         description=f"minimized divergence (seed={case.seed}, "
@@ -284,84 +301,32 @@ def _report(case: FuzzCase, result, args: argparse.Namespace) -> None:
         print(final.divergence_report())
 
 
-def _sweep(args: argparse.Namespace) -> int:
-    from repro.fuzz.crash import (SweepStats, sweep_case,
-                                  sweep_case_storage)
-
-    sweep_disk = "disk" in (args.storage or ())
-    generator = CaseGenerator(seed=args.seed,
-                              families=tuple(args.family or FAMILIES))
+def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace,
+           dest: str) -> int:
+    """Run one sweep policy over the case stream."""
+    policy = SWEEPS[dest]
+    honoured = _CASE_STREAM | policy.options | {dest}
+    ignored = [action.option_strings[-1] for action in parser._actions
+               if action.option_strings and action.dest not in honoured
+               and getattr(args, action.dest, action.default)
+               != action.default]
+    if ignored:
+        print(f"error: {policy.flag} does not take "
+              f"{', '.join(ignored)}", file=sys.stderr)
+        return 2
+    if args.inject_bug is not None and args.inject_bug not in policy.bugs:
+        print(f"error: {policy.flag} supports --inject-bug "
+              f"{'/'.join(policy.bugs)} only", file=sys.stderr)
+        return 2
+    backends = tuple(args.backend or policy.backends)
+    storages = tuple(args.storage or policy.storages)
     started = time.monotonic()
     stats = SweepStats()
-    for case in generator.cases(args.budget):
-        if args.max_seconds is not None and \
-                time.monotonic() - started > args.max_seconds:
-            print(f"time budget reached after {stats.cases} cases")
-            break
-        if sweep_disk:
-            sweep_case_storage(case, stats)
-        else:
-            sweep_case(case, stats)
+    for case in _cases(args):
+        policy.sweep_case(case, stats, backends=backends,
+                          storages=storages, inject_bug=args.inject_bug)
     elapsed = time.monotonic() - started
-    kind = "storage kill points" if sweep_disk \
-        else "statement/operator sites"
-    print(f"{stats.summary()} ({kind}) in {elapsed:.1f}s")
-    for finding in stats.findings:
-        print(f"FINDING: {finding.describe()}", file=sys.stderr)
-    return 0 if stats.ok else 1
-
-
-def _cancel_sweep(args: argparse.Namespace) -> int:
-    from repro.fuzz.cancelsweep import (BACKENDS, STORAGES,
-                                        CancelSweepStats,
-                                        sweep_case_cancel)
-
-    backends = tuple(args.backend or BACKENDS)
-    storages = tuple(args.storage or STORAGES)
-    generator = CaseGenerator(seed=args.seed,
-                              families=tuple(args.family or FAMILIES))
-    started = time.monotonic()
-    stats = CancelSweepStats()
-    for case in generator.cases(args.budget):
-        if args.max_seconds is not None and \
-                time.monotonic() - started > args.max_seconds:
-            print(f"time budget reached after {stats.cases} cases")
-            break
-        sweep_case_cancel(case, stats, backends=backends,
-                          storages=storages)
-    elapsed = time.monotonic() - started
-    print(f"{stats.summary()} "
-          f"(backends: {', '.join(backends)}; "
-          f"storages: {', '.join(storages)}) in {elapsed:.1f}s")
-    for finding in stats.findings:
-        print(f"FINDING: {finding.describe()}", file=sys.stderr)
-    return 0 if stats.ok else 1
-
-
-def _views(args: argparse.Namespace) -> int:
-    from repro.fuzz.views import (BACKENDS, STORAGES, ViewSweepStats,
-                                  sweep_case_views)
-
-    if args.inject_bug is not None and args.inject_bug not in VIEWS_BUGS:
-        print(f"error: --views supports --inject-bug "
-              f"{'/'.join(VIEWS_BUGS)} only", file=sys.stderr)
-        return 2
-    backends = tuple(args.backend or BACKENDS)
-    storages = tuple(args.storage or STORAGES)
-    generator = CaseGenerator(seed=args.seed,
-                              families=tuple(args.family or FAMILIES))
-    started = time.monotonic()
-    stats = ViewSweepStats()
-    for case in generator.cases(args.budget):
-        if args.max_seconds is not None and \
-                time.monotonic() - started > args.max_seconds:
-            print(f"time budget reached after {stats.cases} cases")
-            break
-        sweep_case_views(case, stats, backends=backends,
-                         storages=storages,
-                         inject_bug=args.inject_bug)
-    elapsed = time.monotonic() - started
-    print(f"{stats.summary()} "
+    print(f"{stats.summary(policy.counters)} "
           f"(backends: {', '.join(backends)}; "
           f"storages: {', '.join(storages)}) in {elapsed:.1f}s")
     if not args.quiet:
@@ -379,8 +344,7 @@ def _replay(args: argparse.Namespace) -> int:
     total = 0
     for path, case, expect in load_corpus(args.replay):
         total += 1
-        result = run_case(case, parallel=args.parallel,
-                          trace=args.trace,
+        result = run_case(case, trace=args.trace,
                           backends=tuple(args.backend or ()),
                           storages=tuple(args.storage or ()))
         verdict = "divergent" if result.divergent else "consistent"

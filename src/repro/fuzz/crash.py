@@ -1,9 +1,10 @@
 """The crash-consistency sweep: every fault, every statement boundary.
 
-For each fuzz case the sweep first runs the query cleanly under a
-counting :class:`~repro.engine.faults.FaultInjector` to learn the
-reference rows and how many times each injection site is hit.  It then
-re-runs the query once per ``(site, hit index, fault kind)``
+A policy of the shared sweep driver (:mod:`repro.fuzz.sweep`).  For
+each fuzz case and variant the sweep first runs the query cleanly
+under a counting :class:`~repro.engine.faults.FaultInjector` to learn
+the reference rows and how many times each injection site is hit.  It
+then re-runs the query once per ``(site, hit index, fault kind)``
 combination and asserts the resilient runtime's contract after every
 single injection:
 
@@ -18,26 +19,25 @@ single injection:
   bound to the same immutable objects, so base tables are untouched
   and zero temp tables leak.
 
-Any broken invariant becomes a :class:`SweepFinding`; a sweep with no
-findings is the acceptance criterion for the savepoint/retry/fallback
-machinery.
+A memory variant sweeps every statement boundary and the operator
+sites; a disk variant sweeps the WAL/buffer-pool kill points instead
+and also checks recovery after a simulated kill (see
+:func:`_kill_point`).  A sweep with no findings is the
+acceptance criterion for the savepoint/retry/fallback machinery.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.api.database import Database
-from repro.core.execute import RetryPolicy, run_resilient
 from repro.engine import faults
 from repro.engine.faults import FaultInjector, FaultSpec
 from repro.errors import ReproError
 from repro.fuzz.generator import FuzzCase
-from repro.fuzz.runner import _STORAGE_POOL_PAGES, _load_db
-from repro.storage import engine as storage_engine
+from repro.fuzz.sweep import (_STORAGE_POOL_PAGES, LeakOracle, Outcome,
+                              Sweep, SweepStats, Variant, probe_rows,
+                              run_query, sample_indexes, swept_db)
 
 #: ``(kind, times)`` grid: a one-shot transient (the retry loop must
 #: absorb it), a one-shot resource fault (fallback may absorb it), and
@@ -47,153 +47,6 @@ FAULT_KINDS = (("transient", 1), ("resource", 1), ("crash", None))
 #: Operator sites swept at hit index 0 when the reference run touched
 #: them (statement boundaries are swept exhaustively).
 OPERATOR_SITES = ("join-build", "group-by", "pivot", "encoding-cache")
-
-#: Retries should not slow the sweep down.
-_NO_BACKOFF = RetryPolicy(backoff_seconds=0.0)
-
-
-@dataclass
-class SweepFinding:
-    """One broken invariant observed under one injection."""
-
-    case: FuzzCase
-    site: str
-    index: int
-    kind: str
-    problem: str
-    detail: str = ""
-
-    def describe(self) -> str:
-        text = (f"seed={self.case.seed} case={self.case.index} "
-                f"({self.case.family}) [{self.site}#{self.index} "
-                f"{self.kind}]: {self.problem}")
-        if self.detail:
-            text += f" -- {self.detail}"
-        return text
-
-
-@dataclass
-class SweepStats:
-    """Aggregate outcome of a sweep."""
-
-    cases: int = 0
-    injections: int = 0
-    #: Runs that returned the reference rows despite the fault.
-    recovered: int = 0
-    #: Runs that surfaced a typed ReproError with a clean catalog.
-    clean_errors: int = 0
-    findings: list[SweepFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def summary(self) -> str:
-        return (f"swept {self.cases} case(s), {self.injections} "
-                f"injection(s): {self.recovered} recovered, "
-                f"{self.clean_errors} clean error(s), "
-                f"{len(self.findings)} finding(s)")
-
-
-def sweep_case(case: FuzzCase, stats: SweepStats,
-               operator_sites: bool = True) -> None:
-    """Sweep one case, appending findings to ``stats``."""
-    db = _load_db(case)
-    # The savepoint pins the baseline objects so the identity-based
-    # fingerprint cannot suffer id() recycling.
-    baseline = db.catalog.savepoint()
-    fingerprint = db.catalog.fingerprint()
-    base_names = set(db.table_names())
-    sql = case.query_sql()
-
-    probe = FaultInjector()
-    reference: Optional[list] = None
-    try:
-        with faults.active(probe):
-            reference = run_resilient(
-                db, sql, retry=_NO_BACKOFF).result.to_rows()
-    except ReproError:
-        pass  # degenerate case: errors are an acceptable outcome
-    stats.cases += 1
-
-    sites = [("statement", i)
-             for i in range(probe.hits.get("statement", 0))]
-    if operator_sites:
-        sites += [(site, 0) for site in OPERATOR_SITES
-                  if probe.hits.get(site)]
-
-    for site, index in sites:
-        for kind, times in FAULT_KINDS:
-            stats.injections += 1
-            injector = FaultInjector([FaultSpec(site, error=kind,
-                                                at=index, times=times)])
-            rows: Optional[list] = None
-            error: Optional[BaseException] = None
-            try:
-                with faults.active(injector):
-                    rows = run_resilient(
-                        db, sql, retry=_NO_BACKOFF).result.to_rows()
-            except ReproError as exc:
-                error = exc
-            except Exception as exc:  # noqa: BLE001 - the invariant
-                error = exc
-                stats.findings.append(SweepFinding(
-                    case, site, index, kind,
-                    "untyped error escaped the runtime",
-                    f"{type(exc).__name__}: {exc}"))
-
-            if error is None:
-                if reference is not None and rows != reference:
-                    stats.findings.append(SweepFinding(
-                        case, site, index, kind,
-                        "recovered run returned different rows",
-                        f"{rows!r} != {reference!r}"))
-                else:
-                    stats.recovered += 1
-                if kind == "crash":
-                    # A permanent crash fault fires on every hit; the
-                    # run returning rows means the site was silently
-                    # skipped on the rerun.
-                    stats.findings.append(SweepFinding(
-                        case, site, index, kind,
-                        "permanent crash fault did not surface"))
-            elif isinstance(error, ReproError):
-                stats.clean_errors += 1
-                if kind == "transient" and site == "statement" \
-                        and reference is not None:
-                    stats.findings.append(SweepFinding(
-                        case, site, index, kind,
-                        "retry loop failed to absorb a one-shot "
-                        "transient fault",
-                        f"{type(error).__name__}: {error}"))
-
-            leaked = [n for n in db.table_names()
-                      if n not in base_names]
-            if leaked:
-                stats.findings.append(SweepFinding(
-                    case, site, index, kind,
-                    "temp tables leaked", ", ".join(sorted(leaked))))
-            if db.catalog.fingerprint() != fingerprint:
-                stats.findings.append(SweepFinding(
-                    case, site, index, kind,
-                    "catalog changed across the plan boundary"))
-                # Contain the damage so later injections of this case
-                # still sweep against the intended baseline.
-                db.catalog.rollback(baseline)
-
-
-def sweep_cases(cases, stats: Optional[SweepStats] = None,
-                operator_sites: bool = True) -> SweepStats:
-    """Sweep an iterable of cases; returns the (given) stats."""
-    stats = stats or SweepStats()
-    for case in cases:
-        sweep_case(case, stats, operator_sites=operator_sites)
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Durable-storage sweep (disk backend kill points)
-# ----------------------------------------------------------------------
 
 #: The WAL/buffer-pool kill points, in commit-protocol order: a torn
 #: page image, a crash just before the commit record is durable, and a
@@ -205,31 +58,61 @@ STORAGE_SITES = ("storage-page-write", "storage-wal-fsync",
 #: only: the resilient runtime's rollback re-commits through the very
 #: same sites, so a *permanent* fault there would fault the rollback
 #: too and no in-process invariant could hold -- real kills are
-#: modeled instead by abandoning the store and reopening it (see
-#: :func:`_run_storage_injection`).
+#: modeled instead by abandoning the store and reopening it.
 STORAGE_FAULT_KINDS = (("transient", 1), ("crash", 1))
 
-#: At most this many hit indexes are swept per storage site (first,
-#: middle, last) -- each injection pays a full store build + reopen.
-_STORAGE_INDEX_LIMIT = 3
+
+class FaultSweep(Sweep):
+    """Fault injection at statement/operator sites (memory) or at the
+    storage kill points (disk)."""
+
+    flag = "--fault-sweep"
+    backends = ("serial",)
+    storages = ("memory",)
+    counters = (("injections", "injection(s)"),
+                ("recovered", "recovered"),
+                ("clean_errors", "clean error(s)"))
+
+    def sweep_variant(self, case: FuzzCase, stats: SweepStats,
+                      db: Database, variant: Variant) -> None:
+        sql = case.query_sql()
+        probe = FaultInjector()
+        if variant.storage == "disk":
+            # Loading ran before the probe activated, so load-time
+            # commits are outside the swept range.
+            reference = probe_rows(stats, case, str(variant), db, sql,
+                                   faults.active(probe))
+            for site, index in sample_indexes(probe.hits,
+                                              STORAGE_SITES):
+                for kind, times in STORAGE_FAULT_KINDS:
+                    stats.injections += 1
+                    _kill_point(case, stats, variant, sql, reference,
+                                FaultSpec(site, error=kind, at=index,
+                                          times=times))
+            return
+        oracle = LeakOracle(db)
+        reference = probe_rows(stats, case, str(variant), db, sql,
+                               faults.active(probe))
+        sites = [("statement", i)
+                 for i in range(probe.hits.get("statement", 0))]
+        sites += [(site, 0) for site in OPERATOR_SITES
+                  if probe.hits.get(site)]
+        for site, index in sites:
+            for kind, times in FAULT_KINDS:
+                stats.injections += 1
+                spec = FaultSpec(site, error=kind, at=index, times=times)
+                where = _where(variant, spec)
+                with faults.active(FaultInjector([spec])):
+                    outcome = run_query(db, sql)
+                _check_outcome(case, stats, where, spec, outcome,
+                               reference)
+                oracle.check(stats, case, where)
 
 
-def _sample_indexes(hits: int) -> list[int]:
-    if hits <= 0:
-        return []
-    picks = {0, hits // 2, hits - 1}
-    return sorted(picks)[:_STORAGE_INDEX_LIMIT]
-
-
-def _disk_db(case: FuzzCase, path: str) -> Database:
-    return _load_db(case, storage="disk", storage_path=path,
-                    pool_pages=_STORAGE_POOL_PAGES)
-
-
-def sweep_case_storage(case: FuzzCase, stats: SweepStats) -> None:
-    """Sweep one case's query across the storage kill points.
-
-    Per injection the contract is checked twice:
+def _kill_point(case: FuzzCase, stats: SweepStats, variant: Variant,
+                sql: str, reference: Optional[list],
+                spec: FaultSpec) -> None:
+    """One kill-point injection on a fresh store, checked twice:
 
     * **in process** -- the run returns the reference rows or raises a
       typed error, temp tables don't leak, and the catalog fingerprint
@@ -241,100 +124,54 @@ def sweep_case_storage(case: FuzzCase, stats: SweepStats) -> None:
       bit-identically, or fail with a typed error, and the store
       directory must hold nothing but its three files.
     """
-    sql = case.query_sql()
-    # Probe on a throwaway store: count storage-site hits during the
-    # query alone (loading happens before the injector activates, so
-    # load-time commits are outside the swept range).
-    probe = FaultInjector()
-    reference: Optional[list] = None
-    tmp = tempfile.mkdtemp(prefix="repro-sweep-store-")
-    try:
-        db = _disk_db(case, tmp)
-        try:
-            with faults.active(probe):
-                reference = run_resilient(
-                    db, sql, retry=_NO_BACKOFF).result.to_rows()
-        except ReproError:
-            pass  # degenerate case: errors are an acceptable outcome
-        finally:
-            db.close()
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    stats.cases += 1
-
-    for site in STORAGE_SITES:
-        for index in _sample_indexes(probe.hits.get(site, 0)):
-            for kind, times in STORAGE_FAULT_KINDS:
-                stats.injections += 1
-                _run_storage_injection(case, sql, reference, site,
-                                       index, kind, times, stats)
-
-
-def _run_storage_injection(case: FuzzCase, sql: str,
-                           reference: Optional[list], site: str,
-                           index: int, kind: str, times: int,
-                           stats: SweepStats) -> None:
-    tmp = tempfile.mkdtemp(prefix="repro-sweep-store-")
-    try:
-        db = _disk_db(case, tmp)
+    where = _where(variant, spec)
+    with swept_db(case, stats, variant, where) as db:
         committed = {name: db.table(name).to_rows()
                      for name in db.table_names()}
-        fingerprint = db.catalog.fingerprint()
-        injector = FaultInjector([FaultSpec(site, error=kind,
-                                            at=index, times=times)])
-        rows: Optional[list] = None
-        error: Optional[BaseException] = None
-        try:
-            with faults.active(injector):
-                rows = run_resilient(
-                    db, sql, retry=_NO_BACKOFF).result.to_rows()
-        except ReproError as exc:
-            error = exc
-        except Exception as exc:  # noqa: BLE001 - the invariant
-            error = exc
-            stats.findings.append(SweepFinding(
-                case, site, index, kind,
-                "untyped error escaped the runtime",
-                f"{type(exc).__name__}: {exc}"))
-
-        if error is None:
-            if reference is not None and rows != reference:
-                stats.findings.append(SweepFinding(
-                    case, site, index, kind,
-                    "recovered run returned different rows",
-                    f"{rows!r} != {reference!r}"))
-            else:
-                stats.recovered += 1
-        elif isinstance(error, ReproError):
-            stats.clean_errors += 1
-
-        leaked = [n for n in db.table_names() if n not in committed]
-        if leaked:
-            stats.findings.append(SweepFinding(
-                case, site, index, kind,
-                "temp tables leaked", ", ".join(sorted(leaked))))
-        if db.catalog.fingerprint() != fingerprint:
-            stats.findings.append(SweepFinding(
-                case, site, index, kind,
-                "catalog changed across the plan boundary"))
-
-        # Kill the process's view of the store (no checkpoint) and
-        # recover: the committed pre-query state must come back
-        # bit-identically.
+        oracle = LeakOracle(db, rollback=False)
+        with faults.active(FaultInjector([spec])):
+            outcome = run_query(db, sql)
+        _check_outcome(case, stats, where, spec, outcome, reference)
+        oracle.check(stats, case, where)
         db.storage_engine.abandon()
-        _check_reopen(case, tmp, committed, site, index, kind, stats)
-        stray = storage_engine.stray_files(tmp)
-        if stray:
-            stats.findings.append(SweepFinding(
-                case, site, index, kind, "stray store files leaked",
-                ", ".join(stray)))
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        _check_reopen(case, stats, where, db.storage_engine.path,
+                      committed)
 
 
-def _check_reopen(case: FuzzCase, path: str, committed: dict,
-                  site: str, index: int, kind: str,
-                  stats: SweepStats) -> None:
+def _where(variant: Variant, spec: FaultSpec) -> str:
+    return f"{variant} {spec.site}#{spec.at} {spec.error}"
+
+
+def _check_outcome(case: FuzzCase, stats: SweepStats, where: str,
+                   spec: FaultSpec, outcome: Outcome,
+                   reference: Optional[list]) -> None:
+    """The fault contract for one injected run."""
+    if outcome.escaped:
+        stats.finding(case, where, "untyped error escaped the runtime",
+                      outcome.detail)
+    elif outcome.error is None:
+        if reference is not None and outcome.rows != reference:
+            stats.finding(case, where,
+                          "recovered run returned different rows",
+                          f"{outcome.rows!r} != {reference!r}")
+        else:
+            stats.recovered += 1
+        if spec.times is None:
+            # A permanent fault fires on every hit; the run returning
+            # rows means the site was silently skipped on the rerun.
+            stats.finding(case, where,
+                          "permanent crash fault did not surface")
+    else:
+        stats.clean_errors += 1
+        if spec.error == "transient" and spec.site == "statement" \
+                and reference is not None:
+            stats.finding(case, where,
+                          "retry loop failed to absorb a one-shot "
+                          "transient fault", outcome.detail)
+
+
+def _check_reopen(case: FuzzCase, stats: SweepStats, where: str,
+                  path: str, committed: dict) -> None:
     try:
         db = Database(storage="disk", storage_path=path,
                       pool_pages=_STORAGE_POOL_PAGES)
@@ -345,26 +182,27 @@ def _check_reopen(case: FuzzCase, path: str, committed: dict,
         stats.clean_errors += 1
         return
     except Exception as exc:  # noqa: BLE001 - the invariant
-        stats.findings.append(SweepFinding(
-            case, site, index, kind,
-            "untyped error escaped recovery",
-            f"{type(exc).__name__}: {exc}"))
+        stats.finding(case, where, "untyped error escaped recovery",
+                      f"{type(exc).__name__}: {exc}")
         return
     try:
         names = set(db.table_names())
         expected = set(committed)
         if names != expected:
-            stats.findings.append(SweepFinding(
-                case, site, index, kind,
-                "recovered catalog lost or invented tables",
-                f"recovered {sorted(names)} != committed "
-                f"{sorted(expected)}"))
+            stats.finding(case, where,
+                          "recovered catalog lost or invented tables",
+                          f"recovered {sorted(names)} != committed "
+                          f"{sorted(expected)}")
             return
         for name in sorted(expected):
             if db.table(name).to_rows() != committed[name]:
-                stats.findings.append(SweepFinding(
-                    case, site, index, kind,
-                    "recovered table differs from committed state",
-                    name))
+                stats.finding(case, where,
+                              "recovered table differs from committed "
+                              "state", name)
     finally:
         db.close()
+
+
+SWEEP = FaultSweep()
+sweep_case = SWEEP.sweep_case
+sweep_cases = SWEEP.sweep_cases

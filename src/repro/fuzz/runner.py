@@ -38,14 +38,11 @@ criterion.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.api.database import Database
 from repro.core import plan as plan_mod
-from repro.storage import engine as storage_engine
 from repro.core.execute import execute_plan, generate_plan
 from repro.core.hagg import HorizontalAggStrategy
 from repro.core.horizontal import HorizontalStrategy
@@ -57,6 +54,7 @@ from repro.fuzz.dialect import cube_to_union_sql
 from repro.fuzz.generator import FuzzCase
 from repro.fuzz.oracle import (SqliteOracle, supports_update_from,
                                supports_windows)
+from repro.fuzz.sweep import BACKENDS, STORAGES, variant_db
 from repro.obs.tracer import audit_statement_span, validate_span_tree
 from repro.olap.windowgen import generate_olap_percentage_query
 
@@ -111,7 +109,6 @@ class CaseResult:
 def run_case(case: FuzzCase,
              inject_bug: Optional[str] = None,
              case_timeout: Optional[float] = None,
-             parallel: bool = False,
              trace: bool = False,
              backends: Sequence[str] = (),
              storages: Sequence[str] = ()) -> CaseResult:
@@ -123,25 +120,20 @@ def run_case(case: FuzzCase,
     way) rather than counted as an error outcome, so a slow plan on a
     loaded machine cannot masquerade as a correctness divergence.
 
-    ``parallel`` adds partition-parallel engine variants (2 workers,
-    row threshold forced to 0 so every aggregation takes the parallel
-    path); they must agree bit-for-bit with the serial variants and
-    the oracle.
+    ``backends`` re-runs each of the family's primary engine variants
+    once per named execution path: ``serial`` (1 worker) and
+    ``thread`` (2 workers, zero row threshold, so even the fuzzer's
+    tiny tables actually fan out).  They must agree bit-for-bit.
 
-    ``backends`` adds one engine variant per named execution path:
-    ``serial`` (1 worker) and ``thread`` (2 workers, zero row
-    threshold, so even the fuzzer's tiny tables actually fan out).
-    They must agree bit-for-bit.
-
-    ``storages`` adds one engine variant per named table substrate
-    beyond the default in-memory one (only ``"disk"`` adds anything:
-    ``"memory"`` is the baseline every case already runs).  Disk
-    variants run the family's primary strategies against a page-backed
-    store in a fresh temp directory with a deliberately tiny buffer
-    pool, so even small tables evict; they must agree bit-for-bit with
-    the memory variants and the oracle.  A store directory left with
-    stray files, or a store still open after its variant finished,
-    counts as a divergence.
+    ``storages`` re-runs them per named table substrate beyond the
+    default in-memory one (only ``"disk"`` adds anything: ``"memory"``
+    is the baseline every case already runs).  Disk variants run
+    against a page-backed store with a deliberately tiny buffer pool,
+    so even small tables evict (see
+    :func:`repro.fuzz.sweep.variant_db`); they must agree bit-for-bit
+    with the memory variants and the oracle.  A store directory left
+    with stray files, or a store still open after its variant
+    finished, is an error outcome and so a divergence.
 
     ``trace`` runs every engine variant on a traced database and
     checks the trace after each successful run: every span tree must
@@ -152,16 +144,8 @@ def run_case(case: FuzzCase,
     """
     result = CaseResult(case=case)
     for name, thunk in _variants(case, inject_bug, case_timeout,
-                                 parallel, trace, backends, storages):
+                                 trace, backends, storages):
         result.variants.append(_evaluate(name, thunk))
-    if "disk" in storages:
-        leaked = storage_engine.live_store_paths()
-        if leaked:
-            storage_engine.force_close_all()
-            result.divergent = True
-            result.explanation = (f"leaked live page store(s): "
-                                  f"{', '.join(leaked)}")
-            return result
     comparable = [v for v in result.variants if v.status != "timeout"]
     if not comparable:
         return result
@@ -222,45 +206,46 @@ def _evaluate(name: str, thunk: Callable[[], list]) -> VariantResult:
     return VariantResult(name=name, status="rows", rows=rows)
 
 
-def _load_db(case: FuzzCase, **db_kwargs: Any) -> Database:
-    db = Database(**db_kwargs)
-    db.load_table(case.table, list(case.columns),
-                  [list(row) for row in case.rows])
-    return db
-
-
 def _strategy_rows(case: FuzzCase, strategy, **db_kwargs: Any) -> list:
-    db = _load_db(case, **db_kwargs)
-    try:
+    with variant_db(case, **db_kwargs) as db:
         plan = generate_plan(db, case.query_sql(), strategy)
         rows = execute_plan(db, plan).result.to_rows()
         _check_trace(db)
-        return rows
-    finally:
-        db.close()
+    return rows
 
 
 def _direct_rows(case: FuzzCase, **db_kwargs: Any) -> list:
-    db = _load_db(case, **db_kwargs)
-    try:
+    with variant_db(case, **db_kwargs) as db:
         rows = db.query(case.query_sql())
         _check_trace(db)
-        return rows
+    return rows
+
+
+def _engine_olap_rows(case: FuzzCase, inject_bug: Optional[str],
+                      **db_kwargs: Any) -> list:
+    with variant_db(case, **db_kwargs) as db:
+        rows = db.execute(_olap_sql(case, inject_bug)).to_rows()
+        _check_trace(db)
+    return rows
+
+
+def _sqlite_rows(case: FuzzCase,
+                 run: Callable[[SqliteOracle], list]) -> list:
+    oracle = SqliteOracle(case.table, case.columns, case.rows)
+    try:
+        return run(oracle)
     finally:
-        db.close()
+        oracle.close()
 
 
 def _replay_rows(case: FuzzCase, strategy) -> list:
     """Generate a plan against the engine, execute it in sqlite."""
-    db = _load_db(case)
-    plan = generate_plan(db, case.query_sql(), strategy)
+    with variant_db(case) as db:
+        plan = generate_plan(db, case.query_sql(), strategy)
     statements = [step.sql for step in plan.steps
                   if step.purpose not in _REPLAY_SKIP]
-    oracle = SqliteOracle(case.table, case.columns, case.rows)
-    try:
-        return oracle.replay_plan(statements, plan.result_select)
-    finally:
-        oracle.close()
+    return _sqlite_rows(case, lambda oracle: oracle.replay_plan(
+        statements, plan.result_select))
 
 
 def _olap_sql(case: FuzzCase, inject_bug: Optional[str]) -> str:
@@ -271,34 +256,15 @@ def _olap_sql(case: FuzzCase, inject_bug: Optional[str]) -> str:
     return generate_olap_percentage_query(query)
 
 
-def _engine_olap_rows(case: FuzzCase, inject_bug: Optional[str],
-                      **db_kwargs: Any) -> list:
-    db = _load_db(case, **db_kwargs)
-    try:
-        result = db.execute(_olap_sql(case, inject_bug))
-        rows = result.to_rows()
-        _check_trace(db)
-        return rows
-    finally:
-        db.close()
-
-
 def _sqlite_olap_rows(case: FuzzCase,
                       inject_bug: Optional[str]) -> list:
     sql = _olap_sql(case, inject_bug)
-    oracle = SqliteOracle(case.table, case.columns, case.rows)
-    try:
-        return oracle.run_select(sql)
-    finally:
-        oracle.close()
+    return _sqlite_rows(case, lambda oracle: oracle.run_select(sql))
 
 
 def _sqlite_direct_rows(case: FuzzCase) -> list:
-    oracle = SqliteOracle(case.table, case.columns, case.rows)
-    try:
-        return oracle.run_select(case.query_sql())
-    finally:
-        oracle.close()
+    return _sqlite_rows(
+        case, lambda oracle: oracle.run_select(case.query_sql()))
 
 
 def _sqlite_union_rows(case: FuzzCase) -> list:
@@ -308,95 +274,11 @@ def _sqlite_union_rows(case: FuzzCase) -> list:
     shared-scan derivation or partial-fold bug in the engine diverges
     from it."""
     sql = cube_to_union_sql(case.query_sql())
-    oracle = SqliteOracle(case.table, case.columns, case.rows)
-    try:
-        return oracle.run_raw(sql)
-    finally:
-        oracle.close()
-
-
-#: Engine options for the parallel fuzz variants: two workers and a
-#: zero row threshold force every eligible aggregation down the
-#: hash-partitioned path even on the fuzzer's tiny tables.
-_PARALLEL_KW: dict[str, Any] = {"parallel_workers": 2,
-                                "parallel_row_threshold": 0}
-
-#: Engine options per ``--backend`` variant.
-_BACKEND_KW: dict[str, dict[str, Any]] = {
-    "serial": {"parallel_workers": 1},
-    "thread": _PARALLEL_KW,
-}
-
-
-#: Buffer-pool capacity for disk fuzz variants: small enough that the
-#: fuzzer's tables still evict pages, so the pool's replacement path
-#: is inside the differential net, not just the happy path.
-_STORAGE_POOL_PAGES = 8
-
-STORAGE_VARIANTS = ("memory", "disk")
-
-
-class StorageLeakError(Exception):
-    """A disk fuzz variant left debris in its store directory."""
-
-
-def _disk_rows(runner: Callable[..., list]) -> list:
-    """Run ``runner`` (a ``_strategy_rows``-style callable accepting
-    Database kwargs) against a page-backed store in a fresh temp
-    directory, then sweep the directory for stray files -- leaked
-    checkpoint temps and the like surface as an error outcome and
-    therefore a divergence."""
-    tmp = tempfile.mkdtemp(prefix="repro-fuzz-store-")
-    try:
-        rows = runner(storage="disk", storage_path=tmp,
-                      pool_pages=_STORAGE_POOL_PAGES)
-        stray = storage_engine.stray_files(tmp)
-        if stray:
-            raise StorageLeakError(
-                f"store left stray file(s): {', '.join(stray)}")
-        return rows
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _storage_variants(case: FuzzCase, kw: dict[str, Any]
-                      ) -> list[tuple[str, Callable[[], list]]]:
-    """The disk twins of each family's primary strategies."""
-    if case.family == "vpct":
-        return [
-            ("engine:join-insert-disk",
-             lambda: _disk_rows(lambda **skw: _strategy_rows(
-                 case, VerticalStrategy(), **skw, **kw))),
-            ("engine:join-update-disk",
-             lambda: _disk_rows(lambda **skw: _strategy_rows(
-                 case, VerticalStrategy(use_update=True),
-                 **skw, **kw))),
-        ]
-    if case.family in ("hpct", "hagg"):
-        return [
-            ("engine:case-direct-disk",
-             lambda: _disk_rows(lambda **skw: _strategy_rows(
-                 case, HorizontalStrategy(source="F"), **skw, **kw))),
-            ("engine:case-indirect-disk",
-             lambda: _disk_rows(lambda **skw: _strategy_rows(
-                 case, HorizontalStrategy(source="FV"), **skw, **kw))),
-        ]
-    if case.family == "cube":
-        return [
-            ("engine:shared-scan-disk",
-             lambda: _disk_rows(lambda **skw: _direct_rows(
-                 case, **skw, **kw))),
-        ]
-    return [
-        ("engine:direct-disk",
-         lambda: _disk_rows(lambda **skw: _direct_rows(
-             case, **skw, **kw))),
-    ]
+    return _sqlite_rows(case, lambda oracle: oracle.run_raw(sql))
 
 
 def _variants(case: FuzzCase, inject_bug: Optional[str],
               case_timeout: Optional[float] = None,
-              parallel: bool = False,
               trace: bool = False,
               backends: Sequence[str] = (),
               storages: Sequence[str] = ()
@@ -404,14 +286,14 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
     if inject_bug is not None and inject_bug not in INJECTABLE_BUGS:
         raise ValueError(f"unknown injectable bug {inject_bug!r}; "
                          f"known: {', '.join(INJECTABLE_BUGS)}")
-    unknown = [b for b in backends if b not in _BACKEND_KW]
+    unknown = [b for b in backends if b not in BACKENDS]
     if unknown:
         raise ValueError(f"unknown backend(s) {', '.join(unknown)}; "
-                         f"known: {', '.join(_BACKEND_KW)}")
-    unknown = [s for s in storages if s not in STORAGE_VARIANTS]
+                         f"known: {', '.join(BACKENDS)}")
+    unknown = [s for s in storages if s not in STORAGES]
     if unknown:
         raise ValueError(f"unknown storage(s) {', '.join(unknown)}; "
-                         f"known: {', '.join(STORAGE_VARIANTS)}")
+                         f"known: {', '.join(STORAGES)}")
     # Engine variants run under the governor's wall-clock budget; the
     # sqlite oracle has no governor, so only plan *generation* of the
     # replay variants is affected.
@@ -420,100 +302,71 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
         kw["max_query_seconds"] = case_timeout
     if trace:
         kw["tracing"] = True
-    if case.family == "vpct":
-        variants = _vpct_variants(case, inject_bug, kw)
-        if parallel:
-            variants.append(
-                ("engine:join-insert-parallel",
-                 lambda: _strategy_rows(case, VerticalStrategy(),
-                                        **_PARALLEL_KW, **kw)))
-        for backend in backends:
-            variants.append(
-                (f"engine:join-insert-{backend}",
-                 lambda b=backend: _strategy_rows(
-                     case, VerticalStrategy(), **_BACKEND_KW[b], **kw)))
-        if "disk" in storages:
-            variants += _storage_variants(case, kw)
-        return variants
-    if case.family in ("hpct", "hagg"):
-        variants = _horizontal_variants(case, kw)
-        if parallel:
-            variants += [
-                ("engine:case-direct-parallel",
-                 lambda: _strategy_rows(case,
-                                        HorizontalStrategy(source="F"),
-                                        **_PARALLEL_KW, **kw)),
-                ("engine:case-indirect-parallel",
-                 lambda: _strategy_rows(case,
-                                        HorizontalStrategy(source="FV"),
-                                        **_PARALLEL_KW, **kw)),
-                ("engine:case-direct-hash-parallel",
-                 lambda: _strategy_rows(case,
-                                        HorizontalStrategy(source="F"),
-                                        case_dispatch="hash",
-                                        **_PARALLEL_KW, **kw)),
-            ]
-        for backend in backends:
-            variants += [
-                (f"engine:case-direct-{backend}",
-                 lambda b=backend: _strategy_rows(
-                     case, HorizontalStrategy(source="F"),
-                     **_BACKEND_KW[b], **kw)),
-                (f"engine:case-direct-hash-{backend}",
-                 lambda b=backend: _strategy_rows(
-                     case, HorizontalStrategy(source="F"),
-                     case_dispatch="hash", **_BACKEND_KW[b], **kw)),
-            ]
-        if "disk" in storages:
-            variants += _storage_variants(case, kw)
-        return variants
-    if case.family == "cube":
-        variants = [
-            ("engine:shared-scan", lambda: _direct_rows(case, **kw)),
-            ("sqlite:union-all", lambda: _sqlite_union_rows(case)),
-        ]
-        if parallel:
-            variants.insert(
-                1, ("engine:shared-scan-parallel",
-                    lambda: _direct_rows(case, **_PARALLEL_KW, **kw)))
-        for backend in backends:
-            variants.append(
-                (f"engine:shared-scan-{backend}",
-                 lambda b=backend: _direct_rows(case, **_BACKEND_KW[b],
-                                                **kw)))
-        if "disk" in storages:
-            variants += _storage_variants(case, kw)
-        return variants
-    variants = [
-        ("engine:direct", lambda: _direct_rows(case, **kw)),
-        ("sqlite:direct", lambda: _sqlite_direct_rows(case)),
-    ]
-    if parallel:
-        variants.insert(
-            1, ("engine:direct-parallel",
-                lambda: _direct_rows(case, **_PARALLEL_KW, **kw)))
+    primaries = _primary_variants(case)
+    variants = [(name, lambda run=run: run(**kw))
+                for name, run in primaries]
+    variants += _other_routes(case, inject_bug, kw)
     for backend in backends:
-        variants.append(
-            (f"engine:direct-{backend}",
-             lambda b=backend: _direct_rows(case, **_BACKEND_KW[b],
-                                            **kw)))
+        variants += [(f"{name}-{backend}",
+                      lambda run=run, b=backend: run(backend=b, **kw))
+                     for name, run in primaries]
     if "disk" in storages:
-        variants += _storage_variants(case, kw)
+        variants += [(f"{name}-disk",
+                      lambda run=run: run(storage="disk", **kw))
+                     for name, run in primaries]
     return variants
 
 
-def _vpct_variants(case: FuzzCase, inject_bug: Optional[str],
-                   kw: dict[str, Any]):
+def _primary_variants(case: FuzzCase
+                      ) -> list[tuple[str, Callable[..., list]]]:
+    """The family's primary engine variants, re-run on each requested
+    backend and storage; each takes the variant's Database kwargs."""
+    if case.family == "vpct":
+        return [
+            ("engine:join-insert",
+             lambda **kw: _strategy_rows(case, VerticalStrategy(), **kw)),
+            ("engine:join-update",
+             lambda **kw: _strategy_rows(
+                 case, VerticalStrategy(use_update=True), **kw)),
+        ]
+    if case.family in ("hpct", "hagg"):
+        return [
+            ("engine:case-direct",
+             lambda **kw: _strategy_rows(
+                 case, HorizontalStrategy(source="F"), **kw)),
+            ("engine:case-indirect",
+             lambda **kw: _strategy_rows(
+                 case, HorizontalStrategy(source="FV"), **kw)),
+            ("engine:case-direct-hash",
+             lambda **kw: _strategy_rows(
+                 case, HorizontalStrategy(source="F"),
+                 case_dispatch="hash", **kw)),
+        ]
+    name = "engine:shared-scan" if case.family == "cube" \
+        else "engine:direct"
+    return [(name, lambda **kw: _direct_rows(case, **kw))]
+
+
+def _other_routes(case: FuzzCase, inject_bug: Optional[str],
+                  kw: dict[str, Any]
+                  ) -> list[tuple[str, Callable[[], list]]]:
+    """The family's other evaluation routes: the remaining engine
+    strategies and the sqlite oracles."""
+    if case.family == "vpct":
+        return _vpct_routes(case, inject_bug, kw)
+    if case.family in ("hpct", "hagg"):
+        return _horizontal_routes(case, kw)
+    if case.family == "cube":
+        return [("sqlite:union-all", lambda: _sqlite_union_rows(case))]
+    return [("sqlite:direct", lambda: _sqlite_direct_rows(case))]
+
+
+def _vpct_routes(case: FuzzCase, inject_bug: Optional[str],
+                     kw: dict[str, Any]):
     variants = [
-        ("engine:join-insert",
-         lambda: _strategy_rows(case, VerticalStrategy(), **kw)),
         ("engine:join-rescan-fj",
          lambda: _strategy_rows(case,
                                 VerticalStrategy(fj_from_fk=False),
-                                **kw)),
-        ("engine:join-update",
-         lambda: _strategy_rows(case,
-                                VerticalStrategy(use_update=True),
                                 **kw)),
         ("engine:join-noindex",
          lambda: _strategy_rows(
@@ -543,17 +396,8 @@ def _vpct_variants(case: FuzzCase, inject_bug: Optional[str],
     return variants
 
 
-def _horizontal_variants(case: FuzzCase, kw: dict[str, Any]):
+def _horizontal_routes(case: FuzzCase, kw: dict[str, Any]):
     variants = [
-        ("engine:case-direct",
-         lambda: _strategy_rows(case, HorizontalStrategy(source="F"),
-                                **kw)),
-        ("engine:case-indirect",
-         lambda: _strategy_rows(case, HorizontalStrategy(source="FV"),
-                                **kw)),
-        ("engine:case-direct-hash",
-         lambda: _strategy_rows(case, HorizontalStrategy(source="F"),
-                                case_dispatch="hash", **kw)),
         ("sqlite:replay-case-direct",
          lambda: _replay_rows(case, HorizontalStrategy(source="F"))),
     ]

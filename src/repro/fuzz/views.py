@@ -17,10 +17,10 @@ contract of :mod:`repro.views`:
   NULL keys and NULL/zero denominators, because the generator's value
   pools are shared with the differential fuzzer's adversarial data.
 
-Variants mirror the cancel sweep: the serial and thread execution
-paths crossed with the memory/disk substrates, with the same leak
-oracle (stray store files after a disk variant are findings, not
-warnings).
+A policy of the shared sweep driver (:mod:`repro.fuzz.sweep`):
+variants are the serial and thread execution paths crossed with the
+memory/disk substrates, and stray store files after a disk variant
+are findings, not warnings.
 
 ``inject_bug`` wires :data:`repro.views.maintenance.INJECT_BUG` for
 the duration -- the harness self-test: a deliberately broken
@@ -31,29 +31,20 @@ sweep is blind.
 from __future__ import annotations
 
 import random
-import shutil
-import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.api.database import Database
 from repro.core.execute import run_percentage_query
 from repro.core.horizontal import HorizontalStrategy
 from repro.core.vertical import VerticalStrategy
 from repro.engine.table import Table
 from repro.errors import ReproError
 from repro.fuzz.generator import FuzzCase
-from repro.fuzz.runner import (_BACKEND_KW, _STORAGE_POOL_PAGES,
-                               _load_db)
-from repro.storage import engine as storage_engine
+from repro.fuzz.sweep import Sweep, SweepStats, Variant
 from repro.views import maintenance
-
-#: Execution paths the sweep crosses with each storage substrate.
-BACKENDS = ("serial", "thread")
-
-#: Table substrates.
-STORAGES = ("memory", "disk")
 
 #: DML statements interleaved per case-variant run (each one followed
 #: by a full bitwise check).
@@ -72,159 +63,78 @@ _DML_VALUES = {
 }
 
 
-@dataclass
-class ViewFinding:
-    """One broken invariant observed during a views sweep."""
+class ViewsSweep(Sweep):
+    """A materialized view over the case's query, held bit-identical
+    to recompute across a DML script."""
 
-    case: FuzzCase
-    variant: str
-    step: str               # "build" | "dml#<i>" | "-"
-    problem: str
-    detail: str = ""
+    flag = "--views"
+    options = Sweep.options | {"inject_bug"}
+    bugs = maintenance.VIEWS_BUGS
+    counters = (("variants", "view run(s)"), ("rejected", "rejected"),
+                ("checks", "bitwise check(s)"))
 
-    def describe(self) -> str:
-        text = (f"seed={self.case.seed} case={self.case.index} "
-                f"({self.case.family}) [{self.variant} {self.step}]: "
-                f"{self.problem}")
-        if self.detail:
-            text += f" -- {self.detail}"
-        return text
-
-
-@dataclass
-class ViewSweepStats:
-    """Aggregate outcome of a views sweep."""
-
-    cases: int = 0
-    #: (case, variant) runs where the view was accepted and swept.
-    variants: int = 0
-    #: (case, variant) runs the view subsystem rejected (unsupported
-    #: query shape); rejection is an outcome, not a failure.
-    rejected: int = 0
-    #: Individual bitwise view-vs-recompute comparisons performed.
-    checks: int = 0
-    findings: list[ViewFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def summary(self) -> str:
-        return (f"swept {self.cases} case(s): {self.variants} view "
-                f"run(s), {self.rejected} rejected, {self.checks} "
-                f"bitwise check(s), {len(self.findings)} finding(s)")
-
-
-# ----------------------------------------------------------------------
-def sweep_case_views(case: FuzzCase, stats: ViewSweepStats,
-                     backends=BACKENDS, storages=STORAGES,
-                     inject_bug: Optional[str] = None) -> None:
-    """Sweep one case across every backend x storage variant."""
-    if inject_bug is not None \
-            and inject_bug not in maintenance.VIEWS_BUGS:
-        raise ValueError(
-            f"unknown views bug {inject_bug!r}; known: "
-            f"{', '.join(maintenance.VIEWS_BUGS)}")
-    stats.cases += 1
-    saved = maintenance.INJECT_BUG
-    maintenance.INJECT_BUG = inject_bug
-    try:
-        for storage in storages:
-            for backend in backends:
-                _sweep_variant(case, stats, backend, storage)
-    finally:
-        maintenance.INJECT_BUG = saved
-
-
-def sweep_cases_views(cases, stats: Optional[ViewSweepStats] = None,
-                      backends=BACKENDS, storages=STORAGES,
-                      inject_bug: Optional[str] = None
-                      ) -> ViewSweepStats:
-    """Sweep an iterable of cases; returns the (given) stats."""
-    stats = stats or ViewSweepStats()
-    for case in cases:
-        sweep_case_views(case, stats, backends=backends,
-                         storages=storages, inject_bug=inject_bug)
-    return stats
-
-
-def _sweep_variant(case: FuzzCase, stats: ViewSweepStats,
-                   backend: str, storage: str) -> None:
-    variant = f"{storage}/{backend}"
-    kwargs: dict[str, Any] = dict(_BACKEND_KW[backend])
-    tmp: Optional[str] = None
-    if storage == "disk":
-        tmp = tempfile.mkdtemp(prefix="repro-views-store-")
-        kwargs.update(storage="disk", storage_path=tmp,
-                      pool_pages=_STORAGE_POOL_PAGES)
-    try:
-        db = _load_db(case, **kwargs)
+    @contextmanager
+    def injected(self, bug: Optional[str]) -> Iterator[None]:
+        """Wire :data:`repro.views.maintenance.INJECT_BUG` for the
+        duration."""
+        if bug is not None and bug not in self.bugs:
+            raise ValueError(f"unknown views bug {bug!r}; known: "
+                             f"{', '.join(self.bugs)}")
+        saved = maintenance.INJECT_BUG
+        maintenance.INJECT_BUG = bug
         try:
-            _sweep_db(case, stats, db, variant)
+            yield
         finally:
-            db.close()
-        if tmp is not None:
-            stray = storage_engine.stray_files(tmp)
-            if stray:
-                stats.findings.append(ViewFinding(
-                    case, variant, "-", "stray store files leaked",
-                    ", ".join(stray)))
-    finally:
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
+            maintenance.INJECT_BUG = saved
 
-
-def _sweep_db(case: FuzzCase, stats: ViewSweepStats, db,
-              variant: str) -> None:
-    sql = case.query_sql()
-    try:
-        db.execute(f"CREATE MATERIALIZED VIEW {VIEW_NAME} AS {sql}")
-    except ReproError:
-        # Unsupported shape (no GROUP BY, ...): rejection is the
-        # subsystem doing its job, not a sweep failure.
-        stats.rejected += 1
-        return
-    stats.variants += 1
-    _check(case, stats, db, variant, sql, "build")
-    rng = random.Random(f"views:{case.seed}:{case.index}")
-    for i, dml in enumerate(_dml_script(rng, case)):
-        step = f"dml#{i}"
+    def sweep_variant(self, case: FuzzCase, stats: SweepStats,
+                      db: Database, variant: Variant) -> None:
+        sql = case.query_sql()
         try:
-            db.execute(dml)
-        except ReproError as exc:
-            stats.findings.append(ViewFinding(
-                case, variant, step, "generated DML failed",
-                f"{dml!r}: {type(exc).__name__}: {exc}"))
-            continue
-        _check(case, stats, db, variant, sql, step)
-    db.execute(f"DROP MATERIALIZED VIEW {VIEW_NAME}")
+            db.execute(f"CREATE MATERIALIZED VIEW {VIEW_NAME} AS {sql}")
+        except ReproError:
+            # Unsupported shape (no GROUP BY, ...): rejection is the
+            # subsystem doing its job, not a sweep failure.
+            stats.rejected += 1
+            return
+        stats.variants += 1
+        _check(case, stats, db, f"{variant} build", sql)
+        rng = random.Random(f"views:{case.seed}:{case.index}")
+        for i, dml in enumerate(_dml_script(rng, case)):
+            where = f"{variant} dml#{i}"
+            try:
+                db.execute(dml)
+            except ReproError as exc:
+                stats.finding(case, where, "generated DML failed",
+                              f"{dml!r}: {type(exc).__name__}: {exc}")
+                continue
+            _check(case, stats, db, where, sql)
+        db.execute(f"DROP MATERIALIZED VIEW {VIEW_NAME}")
 
 
-def _check(case: FuzzCase, stats: ViewSweepStats, db, variant: str,
-           sql: str, step: str) -> None:
+def _check(case: FuzzCase, stats: SweepStats, db: Database, where: str,
+           sql: str) -> None:
     stats.checks += 1
     try:
         served = db.execute(sql)
     except ReproError as exc:
-        stats.findings.append(ViewFinding(
-            case, variant, step, "view-served read failed",
-            f"{type(exc).__name__}: {exc}"))
+        stats.finding(case, where, "view-served read failed",
+                      f"{type(exc).__name__}: {exc}")
         return
     try:
         expected = _recompute(case, db, sql)
     except ReproError as exc:
-        stats.findings.append(ViewFinding(
-            case, variant, step, "recompute baseline failed",
-            f"{type(exc).__name__}: {exc}"))
+        stats.finding(case, where, "recompute baseline failed",
+                      f"{type(exc).__name__}: {exc}")
         return
     difference = table_diff(expected, served)
     if difference is not None:
-        stats.findings.append(ViewFinding(
-            case, variant, step,
-            "view-served result diverges from recompute", difference))
+        stats.finding(case, where,
+                      "view-served result diverges from recompute",
+                      difference)
 
 
-def _recompute(case: FuzzCase, db, sql: str) -> Table:
+def _recompute(case: FuzzCase, db: Database, sql: str) -> Table:
     """The from-scratch answer on the current base table, views off.
 
     The strategy is pinned per family (the same generators the smoke
@@ -344,3 +254,8 @@ def _literal(value) -> str:
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     return repr(value)
+
+
+SWEEP = ViewsSweep()
+sweep_case = SWEEP.sweep_case
+sweep_cases = SWEEP.sweep_cases

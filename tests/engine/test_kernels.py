@@ -11,7 +11,7 @@ import pytest
 from repro.core.partitioning import hash_partition
 from repro.engine import kernels
 from repro.engine.types import SQLType
-from repro.errors import PlanningError, TypeMismatchError
+from repro.errors import TypeMismatchError
 
 
 def _grouping(seed: int = 0, n_rows: int = 500, n_groups: int = 13):
@@ -124,25 +124,6 @@ class TestKernelCorrectness:
         with pytest.raises(TypeMismatchError):
             kernels.kernel_sum(np.zeros(4), np.zeros(4, dtype=bool),
                                SQLType.VARCHAR, group_ids, n_groups)
-
-
-class TestResultSqlType:
-    @pytest.mark.parametrize("func,arg,expected", [
-        ("count", SQLType.VARCHAR, SQLType.INTEGER),
-        ("sum", SQLType.INTEGER, SQLType.INTEGER),
-        ("sum", SQLType.REAL, SQLType.REAL),
-        ("avg", SQLType.INTEGER, SQLType.REAL),
-        ("var", SQLType.REAL, SQLType.REAL),
-        ("stdev", SQLType.INTEGER, SQLType.REAL),
-        ("min", SQLType.VARCHAR, SQLType.VARCHAR),
-        ("max", SQLType.INTEGER, SQLType.INTEGER),
-    ])
-    def test_table(self, func, arg, expected):
-        assert kernels.result_sql_type(func, arg) == expected
-
-    def test_unknown_function(self):
-        with pytest.raises(PlanningError):
-            kernels.result_sql_type("median", SQLType.REAL)
 
 
 class TestPartitionMergeBitIdentity:

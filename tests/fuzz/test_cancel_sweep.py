@@ -5,9 +5,11 @@ import pytest
 
 from repro.core import execute as execute_mod
 from repro.engine.cancel import CancelToken
-from repro.fuzz.cancelsweep import (CancelSweepStats, sweep_case_cancel,
-                                    sweep_cases_cancel)
+from repro.fuzz.cancelsweep import sweep_case as sweep_case_cancel
+from repro.fuzz.cancelsweep import sweep_cases as sweep_cases_cancel
+from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.generator import CaseGenerator
+from repro.fuzz.sweep import SweepStats as CancelSweepStats
 
 
 def _cases(count, seed=0, families=None):
@@ -63,3 +65,19 @@ class TestCancelSweep:
                           storages=("memory",))
         assert any(f.problem == "armed cancellation did not fire"
                    for f in stats.findings)
+
+
+class TestCli:
+    def test_cancel_sweep_exit_codes(self, monkeypatch, capsys):
+        argv = ["--cancel-sweep", "--seed", "0", "--budget", "1",
+                "--backend", "serial", "--storage", "memory",
+                "--family", "vpct", "--quiet"]
+        assert fuzz_main(argv) == 0
+
+        # A swallowed cancellation = findings = exit 1.
+        def blind_check(self, safepoint):
+            self.hits[safepoint] = self.hits.get(safepoint, 0) + 1
+
+        monkeypatch.setattr(CancelToken, "check", blind_check)
+        assert fuzz_main(argv) == 1
+        capsys.readouterr()

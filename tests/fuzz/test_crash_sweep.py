@@ -6,9 +6,11 @@ import itertools
 import pytest
 
 from repro.core import execute as execute_mod
-from repro.fuzz.crash import SweepStats, sweep_case, sweep_cases
+from repro.fuzz.cli import main as fuzz_main
+from repro.fuzz.crash import sweep_case, sweep_cases
 from repro.fuzz.generator import CaseGenerator
 from repro.fuzz.runner import run_case
+from repro.fuzz.sweep import SweepStats
 
 
 def _cases(count, seed=0, families=None):
@@ -49,6 +51,43 @@ class TestSweep:
         sweep_case(case, stats)
         assert any(f.problem == "temp tables leaked"
                    for f in stats.findings)
+
+
+class TestStorageSweep:
+    def test_small_budget_kill_point_sweep_is_clean(self):
+        stats = sweep_cases(_cases(6), storages=("disk",))
+        assert stats.ok, "\n".join(f.describe()
+                                   for f in stats.findings)
+        assert (stats.cases, stats.injections, stats.recovered,
+                stats.clean_errors) == (6, 34, 7, 27)
+
+    @pytest.mark.allow_temp_leaks
+    def test_kill_point_sweep_detects_a_leaky_runtime(self, monkeypatch):
+        """Self-test: neuter the plan cleanup and the kill-point sweep
+        must report leaked temp tables (it is not blind)."""
+        monkeypatch.setattr(execute_mod, "cleanup_plan",
+                            lambda db, plan: None)
+        stats = SweepStats()
+        case = _cases(1, families=("vpct", "hpct", "hagg"))[0]
+        sweep_case(case, stats, storages=("disk",))
+        assert any(f.problem == "temp tables leaked"
+                   for f in stats.findings)
+
+
+class TestCli:
+    @pytest.mark.allow_temp_leaks
+    def test_fault_sweep_exit_codes(self, monkeypatch, capsys):
+        for storage in ("memory", "disk"):
+            assert fuzz_main(["--fault-sweep", "--storage", storage,
+                              "--seed", "0", "--budget", "1",
+                              "--quiet"]) == 0
+        # A leaky runtime = findings = exit 1.
+        monkeypatch.setattr(execute_mod, "cleanup_plan",
+                            lambda db, plan: None)
+        assert fuzz_main(["--fault-sweep", "--seed", "0",
+                          "--budget", "1", "--family", "vpct",
+                          "--quiet"]) == 1
+        capsys.readouterr()
 
 
 class TestCaseTimeout:

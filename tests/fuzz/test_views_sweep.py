@@ -6,8 +6,9 @@ import pytest
 
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.generator import CaseGenerator
-from repro.fuzz.views import (ViewSweepStats, sweep_case_views,
-                              sweep_cases_views)
+from repro.fuzz.sweep import SweepStats as ViewSweepStats
+from repro.fuzz.views import sweep_case as sweep_case_views
+from repro.fuzz.views import sweep_cases as sweep_cases_views
 
 
 def _cases(count, seed=0):
